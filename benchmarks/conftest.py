@@ -8,9 +8,12 @@ Every benchmark regenerates one table or figure of the paper in its reduced
 both times the harness and shows the reproduced numbers.
 
 All benchmarks are marked ``slow`` so that ``pytest -m "not slow"`` gives a
-fast test lane; and when the substrate benchmarks actually ran (i.e. not under
-``--benchmark-disable``), their timings are written to ``BENCH_substrate.json``
-via :mod:`repro.experiments.perf_report`.
+fast test lane.  The committed ``BENCH_*.json`` perf reports are written only
+under the explicit ``--record-bench`` option (and only when the benchmarks
+actually timed, i.e. not under ``--benchmark-disable``), so an ordinary test
+run never rewrites a committed baseline::
+
+    pytest benchmarks/test_bench_substrate.py --benchmark-only --record-bench
 """
 
 from __future__ import annotations
@@ -25,6 +28,23 @@ from repro.experiments.perf_report import write_bench_summary
 _SUBSTRATE_PREFIX = "test_bench_engine_kernel_throughput", "test_bench_full_scheduling_run"
 
 
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--record-bench",
+        action="store_true",
+        default=False,
+        help="write the BENCH_*.json perf reports at the repository root",
+    )
+
+
+def recording(config) -> bool:
+    """Whether this session records the ``BENCH_*.json`` perf reports."""
+    # The default covers runs that load this conftest only at collection
+    # time (e.g. a bare ``pytest`` from the repository root), after option
+    # registration: such runs never record.
+    return bool(config.getoption("record_bench", default=False))
+
+
 def pytest_collection_modifyitems(items) -> None:
     """Mark every benchmark test as slow (they simulate whole figures)."""
     slow = pytest.mark.slow
@@ -36,7 +56,7 @@ def pytest_collection_modifyitems(items) -> None:
 def pytest_sessionfinish(session) -> None:
     """Persist substrate benchmark timings as a BENCH_*.json perf report."""
     benchmark_session = getattr(session.config, "_benchmarksession", None)
-    if benchmark_session is None:
+    if benchmark_session is None or not recording(session.config):
         return
     timings = {}
     for bench in getattr(benchmark_session, "benchmarks", []):

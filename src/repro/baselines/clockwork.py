@@ -5,6 +5,12 @@ executing exactly one DNN at a time, relying on the resulting deterministic
 execution times to decide up front whether a request can meet its deadline;
 requests that cannot are dropped.  The paper cites it as the design point that
 trades throughput for predictability.
+
+The GPU is an :class:`~repro.gpu.exclusive.ExclusiveDevice`: with one DNN
+at a time a stage's latency is a closed form, so each stage costs one
+completion event, computed at launch float-for-float as the MPS engine
+would on a 1x1 OS1 platform (the float-order contract is in
+:mod:`repro.gpu.exclusive`).  Faults drive the same device model.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Dict, List, Optional
 from repro.baselines.results import LegacyMappingResult, accepted_miss_rate
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
-from repro.gpu.platform import GpuPlatform, PlatformConfig
+from repro.gpu.exclusive import ExclusiveDevice
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
 from repro.rt.metrics import FaultImpact, PriorityMetrics, ScenarioMetrics
 from repro.rt.task import Priority
@@ -110,7 +116,6 @@ class ClockworkServer:
         self.completed = 0
         self.dropped = 0
         self.missed = 0
-        self.response_times: List[float] = []
 
     def run_taskset(
         self,
@@ -151,17 +156,11 @@ class ClockworkServer:
         policy = resilience if resilience is not None else DEFAULT_POLICY
         injector = FaultInjector(faults, rng=rng, policy=policy)
         simulator = Simulator()
-        platform = GpuPlatform(
-            simulator,
-            PlatformConfig(num_contexts=1, streams_per_context=1, oversubscription=1.0),
-            spec=self.gpu,
-            calibration=self.calibration,
-        )
+        device = ExclusiveDevice(simulator, self.gpu, self.calibration)
         self.completed = 0
         self.dropped = 0
         self.missed = 0
-        self.response_times = []
-        injector.install(simulator, platform, horizon_ms)
+        injector.install(simulator, device, horizon_ms)
         timeout_ms = injector.timeout_ms
 
         queue: List[_QueuedRequest] = []
@@ -208,7 +207,7 @@ class ClockworkServer:
                 bucket.admitted += 1
                 state = {"stage": 0}
 
-                def on_stage_done(_kernel, request=request, state=state) -> None:
+                def on_stage_done(request=request, state=state) -> None:
                     state["stage"] += 1
                     if state["stage"] < request.model.num_stages:
                         submit_stage(request, state)
@@ -220,9 +219,7 @@ class ClockworkServer:
                     per_task_completed[request.task_name] = (
                         per_task_completed.get(request.task_name, 0) + 1
                     )
-                    response = simulator.now - request.release
-                    self.response_times.append(response)
-                    bucket.response_times.append(response)
+                    bucket.response_times.append(simulator.now - request.release)
                     late = simulator.now > request.deadline + 1e-9
                     if late:
                         self.missed += 1
@@ -232,12 +229,7 @@ class ClockworkServer:
 
                 def submit_stage(request=request, state=state) -> None:
                     stage = request.model.stages[state["stage"]]
-                    platform.launch(
-                        0,
-                        0,
-                        stage.to_kernel_spec(),
-                        on_complete=lambda kernel: on_stage_done(kernel),
-                    )
+                    device.launch(stage.to_kernel_spec(), on_stage_done)
 
                 outcome = injector.launch_attempt()
                 if outcome.retries:

@@ -164,7 +164,7 @@ def single_class_metrics(
         launch_retries=launch_retries,
         completed=completed,
         missed=missed,
-        response_times=list(response_times or []),
+        response_times=response_times or (),
     )
     return ScenarioMetrics.from_priority_metrics(
         horizon_ms,

@@ -1,13 +1,16 @@
 """The cluster runtime: N per-GPU executors behind one router.
 
 One :class:`~repro.sim.simulator.Simulator` hosts the whole cluster — each
-device is a :class:`~repro.gpu.platform.GpuPlatform` (with its own engine)
-on that shared event graph, and a :class:`_GpuWorker` drives it with the
-Clockwork discipline: one DNN at a time, EDF order, admission by predicted
-completion time.  Releases enter at the cluster level through the shared
-:class:`~repro.sim.workload.ReleaseStream`, the router picks a device, and
-the request becomes an event in that device's loop; completions re-arm the
-device's executor.  There is no wall-clock interleaving anywhere — every
+device is an :class:`~repro.gpu.exclusive.ExclusiveDevice` on that shared
+event graph, and a :class:`_GpuWorker` drives it with the Clockwork
+discipline: one DNN at a time, EDF order, admission by predicted completion
+time.  One DNN at a time makes a stage's latency a closed form: the device
+computes it at launch and pushes one event per stage, float-for-float what
+the MPS engine computes on a 1x1 OS1 platform (the float-order contract is
+in :mod:`repro.gpu.exclusive`).  Releases enter at the cluster level
+through the shared :class:`~repro.sim.workload.ReleaseStream`, the router
+picks a device, and the request becomes an event in that device's loop;
+completions re-arm the device's executor.  There is no wall-clock interleaving anywhere — every
 cross-device dependency is a simulator event — so runs are bit-identical
 per seed under the established RNG-stream discipline.
 
@@ -44,7 +47,7 @@ from repro.cluster.ledger import DispatchLedger
 from repro.cluster.placement import PlacementSpec
 from repro.cluster.router import GpuLoadView, RoundRobinRouter, make_router
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
-from repro.gpu.platform import GpuPlatform, PlatformConfig
+from repro.gpu.exclusive import ExclusiveDevice
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
 from repro.rt.metrics import FaultImpact, GpuTelemetry, PriorityMetrics, ScenarioMetrics
 from repro.rt.task import Priority
@@ -115,9 +118,7 @@ class _GpuWorker:
     __slots__ = (
         "index",
         "simulator",
-        "platform",
-        "_engine",
-        "_stream",
+        "device",
         "injector",
         "policy",
         "timeout_ms",
@@ -141,7 +142,7 @@ class _GpuWorker:
         self,
         index: int,
         simulator: Simulator,
-        platform: GpuPlatform,
+        device: ExclusiveDevice,
         injector: FaultInjector,
         policy: ResiliencePolicy,
         timeout_ms: Optional[float],
@@ -149,16 +150,7 @@ class _GpuWorker:
     ):
         self.index = index
         self.simulator = simulator
-        self.platform = platform
-        # The worker owns its device outright and serializes requests itself
-        # (one in flight, always slot (0, 0)), so stages launch straight on
-        # the engine; the platform's idle-stream bookkeeping — maintained for
-        # backends that hunt for free slots — is dead weight here and its
-        # drain callback is unhooked.  Pure plumbing removal: event times and
-        # kernel arithmetic are untouched.
-        self._engine = platform.engine
-        self._stream = platform.stream(0, 0)
-        self._engine.stream_idle_callback = None
+        self.device = device
         self.injector = injector
         self.policy = policy
         self.timeout_ms = timeout_ms
@@ -319,11 +311,7 @@ class _GpuWorker:
             return
 
     def _submit_stage(self) -> None:
-        self._engine.launch(
-            self._stream,
-            self._active.profile.kernels[self._stage],
-            on_complete=self._on_stage_done,
-        )
+        self.device.launch(self._active.profile.kernels[self._stage], self._on_stage_done)
 
     def _launch_failed(self) -> None:
         request = self._active
@@ -333,7 +321,7 @@ class _GpuWorker:
         self._depth_delta(-1)
         self.start_next()
 
-    def _on_stage_done(self, _kernel) -> None:
+    def _on_stage_done(self) -> None:
         self._stage += 1
         request = self._active
         profile = request.profile
@@ -365,7 +353,7 @@ class _GpuWorker:
             routed=self.routed,
             completed=self.completed,
             missed=self.missed,
-            utilization=self.platform.average_utilization(),
+            utilization=self.device.average_utilization(),
             max_queue_depth=self.max_queue_depth,
             migrations=self.migrations,
         )
@@ -489,24 +477,19 @@ class ClusterServer:
         workers: List[_GpuWorker] = []
         device_injectors: List[FaultInjector] = []
         for index in range(num_gpus):
-            platform = GpuPlatform(
-                simulator,
-                PlatformConfig(num_contexts=1, streams_per_context=1, oversubscription=1.0),
-                spec=self.gpu,
-                calibration=self.calibration,
-            )
+            device = ExclusiveDevice(simulator, self.gpu, self.calibration)
             # A 1-GPU cluster keeps the root factory so its fault streams
             # are exactly the single-device (clockwork) ones.
             device_rng = rng if num_gpus == 1 else rng.spawn(f"cluster-gpu[{index}]")
             injector = FaultInjector(
                 _device_spec(faults, index), rng=device_rng, policy=policy
             )
-            injector.install(simulator, platform, horizon_ms)
+            injector.install(simulator, device, horizon_ms)
             workers.append(
                 _GpuWorker(
                     index,
                     simulator,
-                    platform,
+                    device,
                     injector,
                     policy,
                     timeout_ms,

@@ -73,6 +73,37 @@ _ARRAY_FILL_MIN_DEMANDS = 8
 _NOISE_CHUNK = 256
 
 
+def single_kernel_plan(
+    allocation: float,
+    contention_weight: float,
+    num_sms: int,
+    min_rate: float,
+    contention_penalty: float,
+) -> Tuple[float, float, float, float, float, float]:
+    """``(pressure, utilization, allocated, rate, scale, contention_factor)``
+    of a lone running kernel before any fault multiplier: the general plan's
+    operations in its order, shared by the single-kernel fast path and
+    :class:`~repro.gpu.exclusive.ExclusiveDevice`."""
+    pressure = allocation / num_sms
+    if allocation > num_sms:
+        scale = num_sms / allocation
+        grant = allocation * scale
+    else:
+        scale = 1.0
+        grant = allocation
+    pressure = max(pressure, 1.0) if allocation > 0 else 0.0
+    utilization = min(1.0, grant / num_sms) if num_sms else 0.0
+    allocated = grant if grant > min_rate else min_rate
+    contention_factor = contention_penalty * (pressure - 1.0 if pressure > 1.0 else 0.0)
+    if contention_factor == 0.0:
+        # efficiency == 1/(1 + 0) == 1.0 exactly; the multiply is a bitwise
+        # no-op, so skip the division entirely.
+        rate = allocated
+    else:
+        rate = allocated * (1.0 / (1.0 + contention_factor * contention_weight))
+    return pressure, utilization, allocated, rate, scale, contention_factor
+
+
 class GpuEngine:
     """Simulated GPU shared by all contexts of one experiment."""
 
@@ -108,10 +139,6 @@ class GpuEngine:
         self._noise_chunk: List[float] = []
         self._noise_pos = 0
         self._contexts: Dict[int, Context] = {}
-        # (id(spec), context_id) -> (spec, clipped_demand, contention_weight,
-        # launch_cost): launch-time invariants memoized per spec/context pair
-        # (the stored spec pins the id).  See launch().
-        self._launch_invariants: Dict[Tuple[int, int], tuple] = {}
         # (allocation, contention_weight, fault_slowdown) -> the single-kernel
         # replan outputs; see the fast path in _replan().
         self._single_plan_cache: Dict[Tuple[float, float, float], tuple] = {}
@@ -263,36 +290,18 @@ class GpuEngine:
         kernel.enqueue_time = self.simulator.now
         kernel.effective_work = spec.work
         kernel.remaining_work = spec.work
-        # Plan-time invariants of this kernel: the demand clipped to its
-        # context quota, the memory-intensity contention weight and the
-        # dispatcher launch overhead.  All three are pure functions of the
-        # (frozen) spec, the context quota and the engine calibration — none
-        # of which change after setup — so they are computed once per
-        # (spec, context) pair and replayed bit for bit on every relaunch of
-        # the same stage (serving loops launch the same few specs thousands
-        # of times).  The tuple holds a strong reference to the spec so the
-        # id()-key can never be resurrected by a different object.
-        context_id = stream.context_id
-        invariants = self._launch_invariants
-        key = (id(spec), context_id)
-        cached = invariants.get(key)
-        if cached is None:
-            quota = self._quotas[context_id]
-            demand = spec.parallelism
-            if demand > quota:
-                demand = quota
-            cached = (
-                spec,
-                demand,
-                CONTENTION_WEIGHT_BASE
-                + CONTENTION_WEIGHT_MEMORY * spec.memory_intensity,
-                self.calibration.dispatch_overhead_ms
-                + spec.num_launches * self.spec.launch_overhead_ms,
-            )
-            invariants[key] = cached
-        kernel.clipped_demand = cached[1]
-        kernel.contention_weight = cached[2]
-        kernel.launch_cost = cached[3]
+        # Plan-time invariants, cached on the instance for every replan: the
+        # demand clipped to the context quota, the memory-intensity
+        # contention weight and the dispatcher launch overhead.
+        quota = self._quotas[stream.context_id]
+        kernel.clipped_demand = spec.parallelism if spec.parallelism <= quota else quota
+        kernel.contention_weight = (
+            CONTENTION_WEIGHT_BASE + CONTENTION_WEIGHT_MEMORY * spec.memory_intensity
+        )
+        kernel.launch_cost = (
+            self.calibration.dispatch_overhead_ms
+            + spec.num_launches * self.spec.launch_overhead_ms
+        )
         became_head = stream.push(kernel)
         if became_head:
             self._begin_dispatch(kernel)
@@ -566,29 +575,15 @@ class GpuEngine:
             key = (allocation, kernel.contention_weight, self._fault_slowdown)
             cached = self._single_plan_cache.get(key)
             if cached is None:
-                num_sms = self._num_sms
-                pressure = allocation / num_sms
-                if allocation > num_sms:
-                    scale = num_sms / allocation
-                    grant = allocation * scale
-                else:
-                    scale = 1.0
-                    grant = allocation
-                pressure = max(pressure, 1.0) if allocation > 0 else 0.0
-                utilization = min(1.0, grant / num_sms) if num_sms else 0.0
-                min_rate = self._min_rate
-                allocated = grant if grant > min_rate else min_rate
-                contention_factor = self._contention_penalty * (
-                    pressure - 1.0 if pressure > 1.0 else 0.0
-                )
-                if contention_factor == 0.0:
-                    # efficiency == 1/(1 + 0) == 1.0 exactly; the multiply is
-                    # a bitwise no-op, so skip the division entirely.
-                    rate = allocated
-                else:
-                    rate = allocated * (
-                        1.0 / (1.0 + contention_factor * kernel.contention_weight)
+                pressure, utilization, allocated, rate, scale, contention_factor = (
+                    single_kernel_plan(
+                        allocation,
+                        kernel.contention_weight,
+                        self._num_sms,
+                        self._min_rate,
+                        self._contention_penalty,
                     )
+                )
                 if self._fault_slowdown != 1.0:
                     rate *= self._fault_slowdown
                 cached = (
@@ -910,30 +905,7 @@ class GpuEngine:
                 self._begin_dispatch(next_kernel)
             elif notify_idle is not None:
                 notify_idle(context_id, kernel.stream_id)
-        if self._running or self._vec_active or not GpuEngine.fast_path_enabled:
-            self._replan()
-        else:
-            # _replan() inlined for the drained-engine case (the every-stage
-            # tail of serving loops that run one kernel at a time): with no
-            # running kernel and the vector tier inactive, the full replan
-            # reduces to exactly these side effects — invalidate outstanding
-            # completion events, settle busy time, drop emptied contexts and
-            # zero the utilization signals.
-            self._completion_gen += 1
-            if self._busy_time_start is not None:
-                self._total_busy_time += now - self._busy_time_start
-                self._busy_time_start = None
-            dirty = self._dirty_contexts
-            if dirty:
-                ctx_running = self._ctx_running
-                ctx_alloc = self._ctx_alloc
-                for cid in tuple(dirty):
-                    if not ctx_running.get(cid):
-                        ctx_running.pop(cid, None)
-                        ctx_alloc.pop(cid, None)
-                        dirty.discard(cid)
-            self._current_utilization = 0.0
-            self._current_pressure = 0.0
+        self._replan()
         for kernel in finished:
             if kernel.on_complete is not None:
                 kernel.on_complete(kernel)

@@ -18,8 +18,9 @@ cached entry is invalidated.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class PriorityMetrics:
     degraded-mode shedding policy; ``timed_out`` and ``failed`` jobs were
     admitted but never completed (client abandonment / launch-retry
     exhaustion); ``launch_retries`` counts recovered launch failures.
+    ``response_times`` (completion order) is stored as a compact
+    ``array('d')``; :meth:`to_dict` still emits a list.
     """
 
     released: int = 0
@@ -43,12 +46,16 @@ class PriorityMetrics:
     rejected: int = 0
     completed: int = 0
     missed: int = 0
-    response_times: List[float] = field(default_factory=list)
+    response_times: "array[float]" = field(default_factory=lambda: array("d"))
     dropped: int = 0
     shed: int = 0
     timed_out: int = 0
     failed: int = 0
     launch_retries: int = 0
+
+    def __post_init__(self) -> None:
+        if type(self.response_times) is not array:
+            self.response_times = array("d", self.response_times)
 
     @property
     def deadline_miss_rate(self) -> float:
@@ -73,8 +80,12 @@ class PriorityMetrics:
         """Where every released job ended up, by cause.
 
         ``on_time + missed + timed_out + failed + in_flight`` equals
-        ``admitted``, and ``admitted + rejected + dropped`` equals
-        ``released`` (``shed`` attributes a subset of ``rejected``).
+        ``admitted`` (``shed`` attributes a subset of ``rejected``).
+        ``admitted + rejected + dropped`` is at most ``released``: it is
+        equal for DARIS, which decides admission at release, but clockwork,
+        the batching server and the cluster decide a request only when it
+        leaves their queue, so requests still queued at the horizon are
+        released yet undecided and appear in no bucket.
         """
         in_flight = self.admitted - self.completed - self.timed_out - self.failed
         return {
@@ -115,7 +126,7 @@ class PriorityMetrics:
             "rejected": self.rejected,
             "completed": self.completed,
             "missed": self.missed,
-            "response_times": list(self.response_times),
+            "response_times": self.response_times.tolist(),
         }
         # Fault-cause counters serialize only when non-zero: a fault-free
         # run's dict is byte-identical to the pre-fault schema, so every
@@ -135,7 +146,7 @@ class PriorityMetrics:
             rejected=int(data["rejected"]),
             completed=int(data["completed"]),
             missed=int(data["missed"]),
-            response_times=list(data["response_times"]),
+            response_times=array("d", data["response_times"]),
             dropped=int(data.get("dropped", 0)),
             shed=int(data.get("shed", 0)),
             timed_out=int(data.get("timed_out", 0)),

@@ -499,25 +499,28 @@ class FaultInjector:
 
     # ---------------------------------------------------------------- install
 
-    def install(self, simulator: Simulator, platform, horizon_ms: float) -> None:
-        """Materialize platform-level faults as simulator events.
+    def install(self, simulator: Simulator, device, horizon_ms: float) -> None:
+        """Materialize device-level faults as simulator events.
 
-        Slowdown windows toggle the engine's fault-slowdown multiplier;
-        context crashes call :meth:`~repro.gpu.engine.GpuEngine.interrupt_context`.
-        All timelines are drawn eagerly here so the RNG draw order never
-        depends on how the run interleaves.  A no-op for specs without
-        platform-level components.
+        ``device`` is an :class:`~repro.gpu.exclusive.ExclusiveDevice` or a
+        :class:`~repro.gpu.platform.GpuPlatform` (whose engine takes the
+        faults): slowdown windows call ``set_fault_slowdown(scale)``, context
+        crashes ``interrupt_context(context, recovery_ms)`` on one of the
+        device's ``num_contexts`` contexts.  All timelines are drawn eagerly
+        here so the RNG draw order never depends on how the run interleaves.
+        A no-op for specs without device-level components.
         """
         self._simulator = simulator
+        target = getattr(device, "engine", device)
         slowdown = self.spec.slowdown
         if slowdown is not None:
-            self._install_slowdown(simulator, platform.engine, slowdown, horizon_ms)
+            self._install_slowdown(simulator, target, slowdown, horizon_ms)
         crash = self.spec.crash
         if crash is not None:
-            self._install_crashes(simulator, platform, crash, horizon_ms)
+            self._install_crashes(simulator, device.num_contexts, target, crash, horizon_ms)
 
     def _install_slowdown(
-        self, simulator: Simulator, engine, slowdown: SlowdownFault, horizon_ms: float
+        self, simulator: Simulator, device, slowdown: SlowdownFault, horizon_ms: float
     ) -> None:
         starts: List[float] = []
         if slowdown.random:
@@ -535,32 +538,32 @@ class FaultInjector:
         for start in starts:
             simulator.schedule_at(
                 start,
-                lambda sim, f=factor: self._enter_window(sim, engine, f),
+                lambda sim, f=factor: self._enter_window(sim, device, f),
                 priority=_FAULT_EVENT_PRIORITY,
                 label="fault-slowdown-start",
             )
             simulator.schedule_at(
                 start + slowdown.duration_ms,
-                lambda sim: self._exit_window(sim, engine),
+                lambda sim: self._exit_window(sim, device),
                 priority=_FAULT_EVENT_PRIORITY,
                 label="fault-slowdown-end",
             )
 
     def _install_crashes(
-        self, simulator: Simulator, platform, crash: CrashFault, horizon_ms: float
+        self, simulator: Simulator, contexts: int, device, crash: CrashFault, horizon_ms: float
     ) -> None:
         rng = self._stream(self.CRASH_STREAM)
         schedule: List[Tuple[float, int]] = []
         time = float(rng.exponential(crash.mtbf_ms))
         while time <= horizon_ms:
-            context = int(rng.integers(platform.num_contexts))
+            context = int(rng.integers(contexts))
             schedule.append((time, context))
             time += float(rng.exponential(crash.mtbf_ms))
         recovery = crash.recovery_ms
         for when, context in schedule:
             simulator.schedule_at(
                 when,
-                lambda sim, ctx=context: self._crash(sim, platform, ctx, recovery),
+                lambda sim, ctx=context: self._crash(sim, device, ctx, recovery),
                 priority=_FAULT_EVENT_PRIORITY,
                 label="fault-context-crash",
             )
@@ -582,22 +585,22 @@ class FaultInjector:
             if self.on_degraded_change is not None:
                 self.on_degraded_change(False)
 
-    def _enter_window(self, simulator: Simulator, engine, factor: float) -> None:
+    def _enter_window(self, simulator: Simulator, device, factor: float) -> None:
         self.slowdown_windows += 1
         self._slowdown_factor = factor
         self._window_depth += 1
         self._enter(simulator.now)
-        engine.set_fault_slowdown(factor)
+        device.set_fault_slowdown(factor)
 
-    def _exit_window(self, simulator: Simulator, engine) -> None:
+    def _exit_window(self, simulator: Simulator, device) -> None:
         self._window_depth -= 1
         if self._window_depth == 0:
-            engine.set_fault_slowdown(1.0)
+            device.set_fault_slowdown(1.0)
         self._exit(simulator.now)
 
-    def _crash(self, simulator: Simulator, platform, context: int, recovery_ms: float) -> None:
+    def _crash(self, simulator: Simulator, device, context: int, recovery_ms: float) -> None:
         self.crashes += 1
-        platform.engine.interrupt_context(context, recovery_ms)
+        device.interrupt_context(context, recovery_ms)
         self._enter(simulator.now)
         simulator.schedule_at(
             simulator.now + recovery_ms,

@@ -31,7 +31,7 @@ from repro.cluster import (
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult
-from repro.experiments.scenarios import named_workload, parse_config_override
+from repro.experiments.scenarios import NAMED_FAULTS, named_workload, parse_config_override
 from repro.rt.metrics import GpuTelemetry, ScenarioMetrics
 from repro.rt.taskset import make_taskset, table2_taskset
 from repro.sim.faults import FaultSpec
@@ -252,31 +252,38 @@ def test_cluster_result_round_trips_through_serialization():
 
 def test_single_gpu_cluster_reproduces_the_clockwork_backend():
     """The 1-GPU cluster is the Clockwork loop behind a trivial router: its
-    buckets and per-task completions must match the plain backend exactly."""
+    buckets, per-task completions and fault impact must match the plain
+    backend exactly, for every arrival kind and every named fault profile."""
     taskset = _taskset()
-    base = dict(workload=POISSON_WORKLOAD, seed=7)
-    clockwork_request = ScenarioRequest(
-        taskset,
-        get_backend("clockwork").config_type(),
-        HORIZON,
-        scheduler="clockwork",
-        **base,
-    )
-    clockwork = get_backend("clockwork").execute(clockwork_request).metrics
-    with pytest.warns(UserWarning):
-        cluster_request = ScenarioRequest(
-            taskset,
-            ClusterConfig(num_gpus=1),
-            HORIZON,
-            scheduler="cluster",
-            **base,
-        )
-        cluster = get_backend("cluster").execute(cluster_request).metrics
-    assert cluster.high == clockwork.high
-    assert cluster.low == clockwork.low
-    assert cluster.per_task_completed == clockwork.per_task_completed
-    assert cluster.total_jps == clockwork.total_jps
-    assert cluster.gpu_breakdown is not None and len(cluster.gpu_breakdown) == 1
+    for workload in ("periodic", "poisson", "bursty"):
+        for fault, faults in NAMED_FAULTS.items():
+            for seed in (7, 8):
+                base = dict(workload=named_workload(workload), faults=faults, seed=seed)
+                clockwork_request = ScenarioRequest(
+                    taskset,
+                    get_backend("clockwork").config_type(),
+                    HORIZON,
+                    scheduler="clockwork",
+                    **base,
+                )
+                clockwork = get_backend("clockwork").execute(clockwork_request).metrics
+                with pytest.warns(UserWarning):
+                    cluster_request = ScenarioRequest(
+                        taskset,
+                        ClusterConfig(num_gpus=1),
+                        HORIZON,
+                        scheduler="cluster",
+                        **base,
+                    )
+                    cluster = get_backend("cluster").execute(cluster_request).metrics
+                case = (workload, fault, seed)
+                assert cluster.high == clockwork.high, case
+                assert cluster.low == clockwork.low, case
+                assert cluster.per_task_completed == clockwork.per_task_completed, case
+                assert cluster.total_jps == clockwork.total_jps, case
+                assert cluster.fault_impact == clockwork.fault_impact, case
+                assert cluster.gpu_breakdown is not None
+                assert len(cluster.gpu_breakdown) == 1
 
 
 # ------------------------------------------------------------------ faults
