@@ -32,7 +32,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult
@@ -191,12 +191,16 @@ class ResultCache:
             return False
         key = self.key_for(request)
         path = self.path_for(key)
-        entry = {
-            "entry_schema": _ENTRY_SCHEMA,
-            "key": key,
-            "fingerprint": request.fingerprint(),
-            "result": result.to_dict(),
-        }
+        # One string, encoded in C: ``json.dump`` to a file handle always
+        # takes the pure-Python encoder.  The fingerprint is the sorted-key
+        # text the key hashes; readers parse it, so an entry with any key
+        # order inside ``fingerprint`` reads back the same.
+        entry = '{"entry_schema":%d,"key":"%s","fingerprint":%s,"result":%s}' % (
+            _ENTRY_SCHEMA,
+            key,
+            request.canonical_fingerprint(),
+            json.dumps(result.to_dict(), separators=(",", ":")),
+        )
         # Any filesystem failure (unwritable/read-only dir, disk full, ...)
         # degrades to "not cached" — a broken cache must never abort a sweep
         # whose scenarios already simulated successfully.
@@ -207,7 +211,7 @@ class ResultCache:
                 prefix=f".{key[:8]}.", suffix=".tmp", dir=path.parent
             )
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, separators=(",", ":"))
+                handle.write(entry)
             os.replace(temp_name, path)
         except OSError:
             if temp_name is not None:
@@ -223,6 +227,10 @@ class ResultCache:
     def _entry_paths(self) -> Iterator[Path]:
         yield from self.cache_dir.glob("??/*.json")
 
+    def _orphan_paths(self) -> Iterator[Path]:
+        """Temp files of writes killed between ``mkstemp`` and ``os.replace``."""
+        yield from self.cache_dir.glob("??/.*.tmp")
+
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
 
@@ -231,15 +239,9 @@ class ResultCache:
         return sum(path.stat().st_size for path in self._entry_paths())
 
     def clear(self) -> int:
-        """Remove every entry; returns the number removed."""
-        removed = 0
-        for path in list(self._entry_paths()):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        """Remove every entry and orphaned temp file; returns the entries removed."""
+        _unlink_all(self._orphan_paths())
+        return _unlink_all(self._entry_paths())
 
     def prune(
         self,
@@ -251,7 +253,9 @@ class ResultCache:
         Args:
             max_entries: keep at most this many of the most recently written
                 entries.
-            max_age_days: additionally drop entries older than this many days.
+            max_age_days: additionally drop entries older than this many days,
+                and orphaned temp files older than that too (a write still in
+                flight is younger than any sensible cutoff).
         """
         import time
 
@@ -262,17 +266,34 @@ class ResultCache:
         if max_age_days is not None:
             cutoff = time.time() - max_age_days * 86400.0
             doomed.extend(path for mtime, path in entries if mtime < cutoff)
+            _unlink_all(
+                path for path in self._orphan_paths() if _mtime(path) < cutoff
+            )
         if max_entries is not None:
             doomed_set = set(doomed)
             survivors = [path for _, path in entries if path not in doomed_set]
             excess = len(survivors) - max_entries
             if excess > 0:
                 doomed.extend(survivors[:excess])
-        removed = 0
-        for path in doomed:  # age pass and entry pass are disjoint by construction
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        # The age pass and the entry pass are disjoint by construction.
+        return _unlink_all(doomed)
+
+
+def _mtime(path: Path) -> float:
+    """``path``'s mtime, or +inf when it vanished (e.g. its write completed)."""
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return float("inf")
+
+
+def _unlink_all(paths: Iterable[Path]) -> int:
+    """Delete each path, skipping ones that fail; returns the number deleted."""
+    removed = 0
+    for path in list(paths):
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
+    return removed

@@ -96,9 +96,14 @@ class ScenarioRequest:
         every fault-free) request fingerprints exactly as before and existing
         caches stay valid.
         """
+        data = self._fields()
+        data["taskset"] = self.taskset.fingerprint()
+        return data
+
+    def _fields(self) -> Dict[str, object]:
+        """Every top-level fingerprint entry except the task set."""
         data: Dict[str, object] = {
             "schema": FINGERPRINT_SCHEMA,
-            "taskset": self.taskset.fingerprint(),
             "config": self.config.to_dict(),
             "horizon_ms": self.horizon_ms,
             "seed": self.seed,
@@ -115,15 +120,39 @@ class ScenarioRequest:
             data["faults"] = self.faults.fingerprint()
         return data
 
+    def canonical_fingerprint(self) -> str:
+        """:meth:`fingerprint` as sorted-key compact JSON.
+
+        The task set's text — nearly all of the bytes — comes from its
+        per-instance memo (:meth:`TaskSetSpec.canonical_json`) and is spliced
+        between the small top-level fields that sort before and after
+        ``"taskset"``, so the result is byte-identical to
+        ``json.dumps(self.fingerprint(), sort_keys=True, separators=(",", ":"))``.
+        """
+        fields = self._fields()
+        before = {name: value for name, value in fields.items() if name < "taskset"}
+        after = {name: value for name, value in fields.items() if name > "taskset"}
+        parts = [
+            _compact(before)[1:-1],
+            '"taskset":' + self.taskset.canonical_json(),
+            _compact(after)[1:-1],
+        ]
+        return "{" + ",".join(part for part in parts if part) + "}"
+
     def cache_key(self) -> str:
-        """Stable content-addressed key: SHA-256 of the canonical fingerprint.
+        """Stable content-addressed key: SHA-256 of :meth:`canonical_fingerprint`.
 
         The fingerprint is serialized with sorted keys and no whitespace;
         floats use Python's shortest-repr JSON form, which is deterministic
-        and round-trips exactly.
+        and round-trips exactly.  Every key ever issued is unchanged by the
+        task-set memo: the text hashed is the same bytes the whole
+        fingerprint dictionary serializes to.
         """
-        canonical = json.dumps(self.fingerprint(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(self.canonical_fingerprint().encode("utf-8")).hexdigest()
+
+
+def _compact(data: Dict[str, object]) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _run_request(request: ScenarioRequest) -> ScenarioResult:

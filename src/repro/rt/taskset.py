@@ -19,6 +19,7 @@ in Figure 11.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,6 +54,13 @@ class TaskSetSpec:
     compares by value: two independently built but identical task sets are
     equal, which gives :class:`~repro.experiments.parallel.ScenarioRequest`
     a stable identity (and cache key).
+
+    Everything reachable from :meth:`fingerprint` is a frozen dataclass
+    (``TaskSpec``, ``DnnModel``, ``DnnProfile``, ``StageSpec``, ``GpuSpec``),
+    so :meth:`canonical_json` can memoise its text on first use.  The memo
+    lives in the instance ``__dict__`` only: it is not a field, so it takes
+    no part in ``==``, ``hash`` or ``repr``, and ``__getstate__`` drops it
+    so pickles (pool IPC) stay the size and bytes of a fresh spec.
     """
 
     name: str
@@ -62,12 +70,24 @@ class TaskSetSpec:
         if not isinstance(self.tasks, tuple):
             object.__setattr__(self, "tasks", tuple(self.tasks))
 
+    def __getstate__(self) -> Dict[str, object]:
+        return {"name": self.name, "tasks": self.tasks}
+
     def fingerprint(self) -> Dict[str, object]:
         """Canonical nested dictionary of the full task set (for cache keys)."""
         return {
             "name": self.name,
             "tasks": [task.to_dict() for task in self.tasks],
         }
+
+    def canonical_json(self) -> str:
+        """:meth:`fingerprint` as sorted-key compact JSON, encoded once per instance."""
+        # Frozen dataclasses only block __setattr__; plain reads are fine.
+        text = self.__dict__.get("_canonical_json")
+        if text is None:
+            text = json.dumps(self.fingerprint(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_canonical_json", text)
+        return text
 
     @property
     def num_high(self) -> int:

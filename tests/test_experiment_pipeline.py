@@ -208,6 +208,35 @@ def test_cache_prune_and_clear(tmp_path, resnet18):
     assert len(cache) == 0
 
 
+def test_clear_and_prune_remove_orphaned_temp_files(tmp_path, resnet18):
+    """A ``put`` killed between ``mkstemp`` and ``os.replace`` leaves a
+    ``.<key8>.*.tmp`` file behind; clear() removes it and prune's age cutoff
+    applies to it, while a fresh one (a write in flight) survives prune."""
+    import os
+    import time
+
+    cache = ResultCache(tmp_path / "cache")
+    taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
+    request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
+    cache.put(request, run_daris_scenario(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2))
+    key = cache.key_for(request)
+    shard = cache.path_for(key).parent
+    stale = shard / f".{key[:8]}.killed.tmp"
+    fresh = shard / f".{key[:8]}.inflight.tmp"
+    stale.write_text('{"entry_schema":1,"ke')
+    fresh.write_text('{"entry_schema":1,"ke')
+    week_ago = time.time() - 7 * 86400.0
+    os.utime(stale, (week_ago, week_ago))
+    assert len(cache) == 1 and list(cache.iter_keys()) == [key]
+
+    assert cache.prune(max_age_days=1) == 0
+    assert not stale.exists() and fresh.exists()
+    assert cache.get(request) is not None
+
+    assert cache.clear() == 1
+    assert not fresh.exists() and list(shard.iterdir()) == []
+
+
 def test_cached_rows_are_bit_identical_to_fresh(tmp_path):
     spec = _tiny_spec()
     cache = ResultCache(tmp_path / "cache")
