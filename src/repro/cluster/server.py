@@ -38,7 +38,6 @@ device degrades independently without perturbing any other stream.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
@@ -94,12 +93,17 @@ class _TaskProfile:
         self.num_stages = len(kernels)
 
 
-@dataclass(order=True, slots=True)
 class _QueuedRequest:
-    deadline: float
-    seq: int
-    release: float = field(compare=False)
-    profile: _TaskProfile = field(compare=False, default=None)
+    """A routed request; queued as ``(deadline, seq, request)`` so the EDF
+    heap compares in C (``seq`` is unique: the request is never compared)."""
+
+    __slots__ = ("deadline", "seq", "release", "profile")
+
+    def __init__(self, deadline: float, seq: int, release: float, profile: _TaskProfile):
+        self.deadline = deadline
+        self.seq = seq
+        self.release = release
+        self.profile = profile
 
 
 class _GpuWorker:
@@ -155,7 +159,7 @@ class _GpuWorker:
         self.policy = policy
         self.timeout_ms = timeout_ms
         self.per_task_completed = per_task_completed
-        self.queue: List[_QueuedRequest] = []
+        self.queue: List[Tuple[float, int, _QueuedRequest]] = []
         self.outstanding_ms = 0.0
         self.depth = 0  # requests queued or running (incremental)
         self.ledger: Optional[DispatchLedger] = None
@@ -222,7 +226,7 @@ class _GpuWorker:
 
     def enqueue(self, request: _QueuedRequest) -> None:
         """Accept a routed request and start serving if idle."""
-        heapq.heappush(self.queue, request)
+        heapq.heappush(self.queue, (request.deadline, request.seq, request))
         self._add_load(request.profile.predicted_ms)
         self._depth_delta(1)
         self.start_next()
@@ -234,9 +238,9 @@ class _GpuWorker:
         the waiting queue moves.
         """
         queue = self.queue
-        taken = [r for r in queue if r.profile.model_name == model_name]
+        taken = [entry[2] for entry in queue if entry[2].profile.model_name == model_name]
         if taken:
-            self.queue = [r for r in queue if r.profile.model_name != model_name]
+            self.queue = [entry for entry in queue if entry[2].profile.model_name != model_name]
             heapq.heapify(self.queue)
             for request in taken:
                 self.outstanding_ms -= request.profile.predicted_ms
@@ -249,7 +253,7 @@ class _GpuWorker:
         """Absorb a migrated queue and start serving it."""
         queue = self.queue
         for request in moved:
-            heapq.heappush(queue, request)
+            heapq.heappush(queue, (request.deadline, request.seq, request))
             self.outstanding_ms += request.profile.predicted_ms
         if moved:
             if self._track_load:
@@ -267,7 +271,7 @@ class _GpuWorker:
         timeout_ms = self.timeout_ms
         queue = self.queue
         while queue and self._active is None:
-            request = heapq.heappop(queue)
+            request = heapq.heappop(queue)[2]
             profile = request.profile
             bucket = profile.bucket
             if (

@@ -248,13 +248,10 @@ class DarisScheduler:
         self.injector.install(self.simulator, self.platform, horizon_ms)
         stream = ReleaseStream(self.workload, self.rng)
         for task in self.tasks:
-            stream.drive(
+            stream.arrival_for(task.task_id, task.spec.period_ms, task.spec.phase_ms).drive(
                 self.simulator,
                 horizon_ms,
-                task_id=task.task_id,
-                period_ms=task.spec.period_ms,
-                phase_ms=task.spec.phase_ms,
-                callback=lambda event, task=task: self._on_release(task, event.time),
+                lambda event, task=task: self._on_release(task, event.time),
             )
 
     def run(self, horizon_ms: float) -> ScenarioMetrics:

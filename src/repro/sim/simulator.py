@@ -14,17 +14,19 @@ the heap linearly with the number of replans.
 Heap entries are ``(key, payload)`` pairs where ``key`` is the usual
 ``(time, priority, seq)`` tuple and ``payload`` is either a full
 :class:`Event` (cancellable, labelled, handle-backed) or a bare callback.
-Fire-and-forget paths (:meth:`Simulator.schedule_callback`,
-:meth:`Simulator.schedule_batch`) use the bare form: no ``Event`` object is
-allocated at all, which matters because dispatch/release scheduling is one of
-the hottest allocation sites of a scenario run.  Keys draw sequence numbers
-from the shared event counter, so the deterministic total order is unchanged.
+Fire-and-forget paths (:meth:`Simulator.schedule_callback`, the arrival
+streams) use the bare form: no ``Event`` object is allocated at all, which
+matters because dispatch/release scheduling is one of the hottest allocation
+sites of a scenario run.  Keys draw sequence numbers from the shared event
+counter, so the deterministic total order is unchanged.  An arrival stream
+keeps only its next release in the heap
+(:meth:`repro.sim.workload.ArrivalProcess.drive`), not the whole run's.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.sim.events import Event, EventHandle, next_sequence
 
@@ -132,47 +134,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay:.6f} ms")
         return self.schedule_at(self.now + delay, callback, priority=priority, label=label)
-
-    def schedule_batch(
-        self,
-        entries: Iterable[Tuple[float, int, Callable[["Simulator"], None]]],
-    ) -> int:
-        """Bulk-schedule fire-and-forget ``(time, priority, callback)`` entries.
-
-        Pop order is independent of the insertion strategy because keys are
-        unique (the shared sequence counter) and a heap pops uniquely-keyed
-        items in sorted order regardless of its internal arrangement — so the
-        cheaper of two equivalent insertions is chosen per call: n individual
-        pushes (O(n log heap), right when the batch is small next to the
-        resident heap, e.g. one task's releases landing among every other
-        task's) or append-all + one heapify (O(n + heap), right for bulk
-        loads into a small heap).  The historical always-heapify form made
-        per-task scheduling quadratic in the number of tasks.  Returns the
-        entry count.
-        """
-        heap = self._heap
-        now = self.now
-        staged = []
-        for time, priority, callback in entries:
-            if time < now:
-                if time < now - 1e-9:
-                    raise SimulationError(
-                        f"cannot schedule event at {time:.6f} ms,"
-                        f" current time is {now:.6f} ms"
-                    )
-                time = now
-            staged.append(((time, priority, next_sequence()), callback))
-        count = len(staged)
-        if not count:
-            return 0
-        total = len(heap) + count
-        if count * total.bit_length() < total:
-            for item in staged:
-                heapq.heappush(heap, item)
-        else:
-            heap.extend(staged)
-            heapq.heapify(heap)
-        return count
 
     def stop(self) -> None:
         """Request the run loop to stop after the current event."""

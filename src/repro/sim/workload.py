@@ -33,6 +33,7 @@ which is what makes a new arrival kind a one-file change.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, fields
 from typing import (
@@ -51,8 +52,9 @@ from typing import (
 
 import numpy as np
 
+from repro.sim.events import next_sequence
 from repro.sim.rng import RngFactory
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 #: Base arrival kinds a :class:`WorkloadSpec` can name.
 ARRIVAL_KINDS = ("periodic", "poisson", "saturated", "mmpp", "trace")
@@ -89,8 +91,8 @@ class ArrivalProcess:
     """Common machinery shared by every concrete arrival process.
 
     Subclasses implement :meth:`next_arrival`; generation is lazy — each call
-    produces exactly the next event, so driving a large horizon never
-    materializes the whole release list.  A finite process (trace replay)
+    produces exactly the next event (:meth:`drive` materializes one stream's
+    releases, and frees each as it fires).  A finite process (trace replay)
     signals exhaustion by returning events at ``time = inf``, which every
     horizon-bounded consumer treats as "past the horizon".
 
@@ -136,15 +138,67 @@ class ArrivalProcess:
         """Schedule all arrivals up to ``horizon`` on ``simulator``.
 
         Returns the number of arrivals scheduled.  The callback receives the
-        :class:`ArrivalEvent`; it is invoked at the arrival time.  Releases
-        are bulk-inserted (append + one heapify) through
-        :meth:`Simulator.schedule_batch`, which pops identically to the
-        historical per-event pushes but costs O(n) instead of O(n log n).
+        :class:`ArrivalEvent`; it is invoked at the arrival time.  The stream
+        is generated here in full, so RNG draws keep their order (a shared
+        jitter stream is consumed in task order), and takes one contiguous
+        block of sequence numbers; but only its first release enters the
+        heap, and a :class:`_ReleaseCursor` pushes each next one when the
+        current one fires.  Pop order is that of inserting every release up
+        front: releases are the only priority -1 events, a stream's keys
+        strictly increase (times never decrease, checked below; the sequence
+        block is contiguous), and the next key is pushed before anything
+        that could follow it pops.
         """
-        return simulator.schedule_batch(
-            (event.time, -1, lambda _sim, ev=event: callback(ev))
-            for event in self.events(horizon)
-        )
+        now = simulator.now
+        events: List[ArrivalEvent] = []
+        last = -math.inf
+        for event in self.events(horizon):
+            time = event.time
+            if time < last:
+                raise SimulationError(f"stream went back in time: {time} ms after {last} ms")
+            if time < now - 1e-9:
+                raise SimulationError(
+                    f"cannot schedule event at {time:.6f} ms, current time is {now:.6f} ms"
+                )
+            last = time
+            events.append(event)
+        if events:
+            seq = next_sequence()
+            for _ in range(len(events) - 1):  # the rest of the stream's block
+                next_sequence()
+            first = events[0].time
+            events.reverse()
+            cursor = _ReleaseCursor(events, seq, now, callback)
+            heapq.heappush(simulator._heap, ((first if first > now else now, -1, seq), cursor))
+        return len(events)
+
+
+class _ReleaseCursor:
+    """One stream's unfired releases, latest first (the next one is last);
+    the payload of the stream's single heap entry.  Firing pops the release
+    (freeing it), pushes the next one under its bulk-insertion key (time
+    clamped to the drive-time clock) and runs the callback.  The heap is
+    reached through the ``simulator`` argument, never stored, so no
+    reference cycle forms."""
+
+    __slots__ = ("_events", "_seq", "_floor", "_callback")
+
+    def __init__(self, events, seq: int, floor: float, callback):
+        self._events = events
+        self._seq = seq  # of the release now in the heap
+        self._floor = floor
+        self._callback = callback
+
+    def __call__(self, simulator: Simulator) -> None:
+        events = self._events
+        event = events.pop()
+        if events:
+            time = events[-1].time
+            floor = self._floor
+            self._seq += 1
+            key = (time if time > floor else floor, -1, self._seq)
+            heapq.heappush(simulator._heap, (key, self))
+        self._callback(event)
 
 
 class PeriodicArrival(ArrivalProcess):
@@ -1377,21 +1431,6 @@ class ReleaseStream:
             exclusive_rng=self._factory is not None,
         )
 
-    def drive(
-        self,
-        simulator: Simulator,
-        horizon_ms: float,
-        *,
-        task_id: int,
-        period_ms: float,
-        phase_ms: float = 0.0,
-        callback: Callable[[ArrivalEvent], None],
-    ) -> int:
-        """Schedule one task-shaped stream's releases up to ``horizon_ms``."""
-        return self.arrival_for(task_id, period_ms, phase_ms).drive(
-            simulator, horizon_ms, callback
-        )
-
     def drive_taskset(
         self,
         simulator: Simulator,
@@ -1404,18 +1443,14 @@ class ReleaseStream:
         Tasks must expose ``task_id`` / ``period_ms`` / ``phase_ms`` (the
         :class:`~repro.rt.task.TaskSpec` surface).  Streams are driven in
         task order, which pins the shared-jitter draw order and the
-        simulator insertion order exactly as the historical per-backend
-        loops did.
+        sequence numbers (exact-time ties between tasks fire in task order)
+        exactly as the historical per-backend loops did.  Afterwards the
+        simulator holds one pending release per task with any arrival.
         """
         released = 0
         for task in tasks:
-            released += self.drive(
-                simulator,
-                horizon_ms,
-                task_id=task.task_id,
-                period_ms=task.period_ms,
-                phase_ms=task.phase_ms,
-                callback=lambda event, task=task: callback(task, event),
+            released += self.arrival_for(task.task_id, task.period_ms, task.phase_ms).drive(
+                simulator, horizon_ms, lambda event, task=task: callback(task, event)
             )
         return released
 

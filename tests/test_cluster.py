@@ -33,7 +33,8 @@ from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenarios import NAMED_FAULTS, named_workload, parse_config_override
 from repro.rt.metrics import GpuTelemetry, ScenarioMetrics
-from repro.rt.taskset import make_taskset, table2_taskset
+from repro.rt.task import Priority, TaskSpec
+from repro.rt.taskset import TaskSetSpec, make_taskset, table2_taskset
 from repro.sim.faults import FaultSpec
 from repro.sim.rng import RngFactory
 from repro.sim.workload import POISSON_WORKLOAD, SATURATED_WORKLOAD
@@ -284,6 +285,31 @@ def test_single_gpu_cluster_reproduces_the_clockwork_backend():
                 assert cluster.fault_impact == clockwork.fault_impact, case
                 assert cluster.gpu_breakdown is not None
                 assert len(cluster.gpu_breakdown) == 1
+
+
+def test_edf_deadline_ties_are_served_in_dispatch_order():
+    """Two tasks release together with equal deadlines while the device is
+    busy: the queue breaks the tie by dispatch order, so the LP task (first
+    in task order) is served first every period and the HP task waits."""
+    model = build_model("resnet18")
+
+    def task(task_id, priority, phase_ms):
+        return TaskSpec(task_id, model, 25.0, priority, phase_ms=phase_ms)
+
+    taskset = TaskSetSpec(
+        name="edf-ties",
+        tasks=[
+            task(0, Priority.LOW, 0.1),
+            task(1, Priority.HIGH, 0.1),
+            task(2, Priority.HIGH, 0.0),  # occupies the device at each tie
+        ],
+    )
+    metrics = ClusterServer(ClusterConfig(num_gpus=1)).serve(taskset, HORIZON, rng=RngFactory(1))
+    assert metrics.per_task_completed == {
+        spec.name: HORIZON // 25.0 for spec in taskset.tasks
+    }
+    tied_first, tied_second = metrics.low.response_times, metrics.high.response_times[1::2]
+    assert max(tied_first) < min(tied_second)
 
 
 # ------------------------------------------------------------------ faults

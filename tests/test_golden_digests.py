@@ -13,6 +13,14 @@ Covered: ``clockwork`` x {periodic, poisson, bursty, diurnal} x every
 ``NAMED_FAULTS`` profile x 2 seeds, and the 7-scenario cluster matrix
 (replicated/partitioned x 3 routers x migration x targeted crash/throttle)
 x 2 seeds.
+
+The release consumers are pinned too, because every backend's arrivals go
+through one :class:`~repro.sim.workload.ReleaseStream`: ``daris`` at MPS
+6x1 OS6 and MPS+STR 3x3 OS1, ``rtgpu``, and the ``batching_server`` in
+arrival mode (``drive_aggregate``), each x {periodic, poisson, bursty,
+diurnal, jittered} x 2 seeds.  Those digests were recorded from the bulk
+release insertion (every release pushed before the run) and must hold
+unchanged for the one-pending-release-per-stream driver that replaced it.
 """
 
 from __future__ import annotations
@@ -23,15 +31,16 @@ import json
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.configs import ClockworkConfig
+from repro.backends.configs import BatchingConfig, ClockworkConfig
 from repro.cluster import ClusterConfig, ClusterServer
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.scenarios import NAMED_FAULTS, named_workload
 from repro.rt.taskset import make_taskset, table2_taskset
+from repro.scheduler.config import DarisConfig
 from repro.sim.faults import FaultSpec
 from repro.sim.rng import RngFactory
-from repro.sim.workload import POISSON_WORKLOAD
+from repro.sim.workload import MMPP_WORKLOAD, POISSON_WORKLOAD
 
 
 def metrics_digest(metrics) -> str:
@@ -101,6 +110,37 @@ def cluster_metrics(label: str, seed: int):
     )
 
 
+# ----------------------------------------------------- release consumers
+
+RELEASE_CONSUMERS = {
+    "daris-mps6x1-os6": ("daris", DarisConfig.mps_config(num_contexts=6, oversubscription=6.0)),
+    "daris-mpsstr3x3-os1": (
+        "daris",
+        DarisConfig.mps_str_config(num_contexts=3, streams_per_context=3, oversubscription=1.0),
+    ),
+    "rtgpu": ("rtgpu", DarisConfig.mps_config(num_contexts=6, oversubscription=6.0)),
+    "batching_server": ("batching_server", BatchingConfig()),
+}
+# ``jittered`` puts the shared-stream jitter modulator (clamped to stay
+# monotone) over bursty MMPP gaps, which are often shorter than the jitter.
+RELEASE_WORKLOADS = ("periodic", "poisson", "bursty", "diurnal", "jittered")
+RELEASE_SEEDS = (1, 2)
+
+
+def release_metrics(consumer: str, workload: str, seed: int):
+    scheduler, config = RELEASE_CONSUMERS[consumer]
+    spec = MMPP_WORKLOAD.with_jitter(1.5) if workload == "jittered" else named_workload(workload)
+    request = ScenarioRequest(
+        table2_taskset("resnet18"),
+        config,
+        800.0,
+        scheduler=scheduler,
+        workload=spec,
+        seed=seed,
+    )
+    return get_backend(scheduler).execute(request).metrics
+
+
 GOLDEN_DIGESTS = {
     "clockwork/periodic/none/1": "3369dd21ea85db43f88102db9407012d3f002bc07ba7269d6f378d551a31b8c8",
     "clockwork/periodic/none/2": "3369dd21ea85db43f88102db9407012d3f002bc07ba7269d6f378d551a31b8c8",
@@ -164,6 +204,46 @@ GOLDEN_DIGESTS = {
     "cluster/targeted-crash/11": "30d6fe4aa3f7c92ce9dfcbabd15dd411c6a356ee15709e2b211dc1b3b8a2cf94",
     "cluster/targeted-throttle/3": "45cd67beed93ecacf17a4966927ce812bf170a43234e799b0bacce6d881d1d1f",
     "cluster/targeted-throttle/11": "8880358e0d0401d54f66109a7f408de5da19c4615ed497c358f7fb91405fa00b",
+    "release/daris-mps6x1-os6/periodic/1": "308f35bee68de9793321672b5378456fa68c9d833b33d699f1759f9099ef2e1d",
+    "release/daris-mps6x1-os6/periodic/2": "e27b60f1f0849256995720cce19daca7c472fb0ba7f71d7cfab96766bc14b60e",
+    "release/daris-mps6x1-os6/poisson/1": "a09a4a917a35f38929269bd093ab01601b96750a776240d0f84d732ea1b95cc2",
+    "release/daris-mps6x1-os6/poisson/2": "e48d71a1ea3cb60172959ba3234e04bfb60d12d1a013d15bddfde6b38ddc932f",
+    "release/daris-mps6x1-os6/bursty/1": "7fc3deaea0152ca7682fc888d6bb2aeeb536ec24875c0da687db2a5763985fb4",
+    "release/daris-mps6x1-os6/bursty/2": "d56abdd20dd22bac977181fb4d0cdf04b7390b7c688db4bbfb040e40b472c3c7",
+    "release/daris-mps6x1-os6/diurnal/1": "ab0a439daed57e0f874f6e536cc194cfb92f6611c8d27413a87d0ae59ae811a6",
+    "release/daris-mps6x1-os6/diurnal/2": "90aac2f6f9b08d841430fa6de7e3d3cd8145072c355571048bdbcfa7a6b8202e",
+    "release/daris-mps6x1-os6/jittered/1": "691cecdb6e737e82de76493f8bd86980f2c4c24949f8bf510d3571928842b722",
+    "release/daris-mps6x1-os6/jittered/2": "828813f4dd0b6260cb94421109d8ad7af44c6c6ca505d9693151ce482faa7bae",
+    "release/daris-mpsstr3x3-os1/periodic/1": "1a7a87e4461c879ed1280f5ea5ef013ceb30ce453e400adf0e5d2acd90a33ac2",
+    "release/daris-mpsstr3x3-os1/periodic/2": "7f70f8c960027a6ccfebfbfc6cab7d22f1cf7783f42aeeab49f87a423f4ac957",
+    "release/daris-mpsstr3x3-os1/poisson/1": "10d354646d5468dbad4f10d6717d46fa7186534d949df9ef351ed9bed46be57b",
+    "release/daris-mpsstr3x3-os1/poisson/2": "45190dbb777976cf311f9535e18e5502ba959178170bc716a7f74cb06426a760",
+    "release/daris-mpsstr3x3-os1/bursty/1": "fc2398304f32f48d8f6e948756c7d11409a038617af9ad8fb759b970a4a1db50",
+    "release/daris-mpsstr3x3-os1/bursty/2": "9cacccaf52c8b8e488f1249834a35b6f5dd80dea0c461ea3d5e37b9492095745",
+    "release/daris-mpsstr3x3-os1/diurnal/1": "e801e618cd20424f48142af6ae419a0be70ec9fa1872d636bbd8bd1878c5f750",
+    "release/daris-mpsstr3x3-os1/diurnal/2": "6e0c9e5a225c0862cafb2f3af81a67fe100e29fd8b3780519abbec82f73fbd50",
+    "release/daris-mpsstr3x3-os1/jittered/1": "be18da9271e59bd5b922f12b9dd72698f8579985652660730166b587b69ab664",
+    "release/daris-mpsstr3x3-os1/jittered/2": "47c1f92228fd16654b18ac5b026bf71b88d13933cc98dc7b508d60dd180ae6bc",
+    "release/rtgpu/periodic/1": "97d87478160bc0d15072f5c699db8054ffccd7fd111bc7e966db97c7f6a33d1c",
+    "release/rtgpu/periodic/2": "c63ec3198a755f489b42e0a13edbef48518bb54ac6b65db191f9f36b903d8809",
+    "release/rtgpu/poisson/1": "dab98f3747516ca21e7234a5193dc9fb8bc56abdfce71aff923671389b78f7e4",
+    "release/rtgpu/poisson/2": "678096b3a08f1cd4d6e5febbba087e5d73857ce81fa1ede40b7d182a714a627c",
+    "release/rtgpu/bursty/1": "218cc81bdbf056481098c13d605f65ef8ddb67741b5addfd0e6bbcf5d6fa03db",
+    "release/rtgpu/bursty/2": "2f6c86ff544b26b030c4add49b72941f508846e64c0837b6b8bd5a628104a2a0",
+    "release/rtgpu/diurnal/1": "63d902a207ec896ec8082783fb48ae7632f560e388e9835a90856798b168e8eb",
+    "release/rtgpu/diurnal/2": "7c502a39c24ddb2921802e56beb2ee8570346c8f3dc954c33e51c373fbc75fbb",
+    "release/rtgpu/jittered/1": "b09c2e22a8f4c6ae95e48678e21176107af3a5db222a9123a7a202cb2038b4c2",
+    "release/rtgpu/jittered/2": "d82a91ef2fd6aacc8588605b70cb08712a6050f1345bae25be484b6552d8d66f",
+    "release/batching_server/periodic/1": "f87eb65c86075c14e66d1267240be30adefab76bfc075abca9378459e801a78d",
+    "release/batching_server/periodic/2": "f87eb65c86075c14e66d1267240be30adefab76bfc075abca9378459e801a78d",
+    "release/batching_server/poisson/1": "e08ae2c5bdb3cdf87f812404866c94b61dc197892b089df9c478a31894ae237b",
+    "release/batching_server/poisson/2": "533db41b08627972b3112c2f43f29270e5ed19786c08e0d170d33443da8b8afc",
+    "release/batching_server/bursty/1": "d1001571757482d0c45533efa71b0d19f852ef547a319e2578bf0962a64bbcdb",
+    "release/batching_server/bursty/2": "537130a48054208a03eb1b24daba09b20957503ccc4b150adbbefbc231ca687a",
+    "release/batching_server/diurnal/1": "bd9df3544a8f6945beb76837e4aaeccaaaddf2ab05fcc35df7edad137bcb11c0",
+    "release/batching_server/diurnal/2": "4697af13628722cb528c91503b543ee7b47227ce71852c5db4c527a885cc8494",
+    "release/batching_server/jittered/1": "699c7d0def959db6b87e87be161d9821148146690b85c266dd271eb92dea1c94",
+    "release/batching_server/jittered/2": "dcdb37dac614d6c0f40ad8940acf92a4528b544583fb961969565d75125f05df",
 }
 
 
@@ -176,6 +256,10 @@ def _golden_cases():
     for label in CLUSTER_MATRIX:
         for seed in CLUSTER_SEEDS:
             cases.append(f"cluster/{label}/{seed}")
+    for consumer in RELEASE_CONSUMERS:
+        for workload in RELEASE_WORKLOADS:
+            for seed in RELEASE_SEEDS:
+                cases.append(f"release/{consumer}/{workload}/{seed}")
     return cases
 
 
@@ -185,6 +269,9 @@ def run_case(case: str):
     if kind == "clockwork":
         workload, fault, seed = rest
         return clockwork_metrics(workload, fault, int(seed))
+    if kind == "release":
+        consumer, workload, seed = rest
+        return release_metrics(consumer, workload, int(seed))
     label, seed = rest
     return cluster_metrics(label, int(seed))
 

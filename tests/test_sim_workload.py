@@ -1,14 +1,18 @@
 """Tests for the arrival processes, the spec hierarchy and ReleaseStream."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.sim.rng import RngFactory
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.workload import (
     ARRIVAL_KINDS,
+    ArrivalEvent,
+    ArrivalProcess,
     DIURNAL_WORKLOAD,
     MMPP_WORKLOAD,
     PERIODIC_WORKLOAD,
@@ -274,20 +278,21 @@ def test_release_stream_reproduces_the_legacy_rng_discipline():
     assert jittered == [event.time for event in legacy.events(100.0)]
 
 
-def test_release_stream_drive_taskset_counts_and_orders_releases():
-    class _Spec:
-        def __init__(self, task_id, period_ms, phase_ms=0.0):
-            self.task_id = task_id
-            self.period_ms = period_ms
-            self.phase_ms = phase_ms
+class _Task:
+    def __init__(self, task_id, period_ms, phase_ms=0.0):
+        self.task_id = task_id
+        self.period_ms = period_ms
+        self.phase_ms = phase_ms
 
+
+def test_release_stream_drive_taskset_counts_and_orders_releases():
     sim = Simulator()
     stream = ReleaseStream(PERIODIC_WORKLOAD, RngFactory(0))
     seen = []
     released = stream.drive_taskset(
         sim,
         40.0,
-        [_Spec(0, 10.0), _Spec(1, 20.0, phase_ms=5.0)],
+        [_Task(0, 10.0), _Task(1, 20.0, phase_ms=5.0)],
         lambda task, event: seen.append((task.task_id, event.time)),
     )
     sim.run_until(40.0)
@@ -325,3 +330,169 @@ def test_release_stream_without_rng_rejects_randomized_workloads():
     stream = ReleaseStream(POISSON_WORKLOAD, None)
     with pytest.raises(ValueError):
         stream.arrival_for(task_id=0, period_ms=10.0)
+
+
+# ------------------------------------------------- release streaming order
+
+
+class _Backwards(ArrivalProcess):
+    """A broken process whose third arrival goes back in time."""
+
+    def __init__(self):
+        self._times = iter([1.0, 4.0, 3.0])
+        self._index = 0
+
+    def next_arrival(self):
+        self._index += 1
+        return ArrivalEvent(self._index - 1, next(self._times, math.inf))
+
+
+def test_releases_fire_in_sorted_key_order_with_exact_ties():
+    """Fire order is the sorted ``(time, priority, seq)`` order: at one
+    instant, releases (priority -1) go first in drive order — stream by
+    stream, duplicates in index order — then priority-0 events in the order
+    they were scheduled, before or after the streams or from a callback."""
+    sim = Simulator()
+    fired = []
+
+    def tick(label):
+        return lambda _sim: fired.append(label)
+
+    def release(name):
+        def on_release(event):
+            fired.append(f"{name}{event.index}")
+            sim.schedule_callback(sim.now, tick(f"from-{name}{event.index}"))
+
+        return on_release
+
+    for time in (0.0, 5.0, 10.0):
+        sim.schedule_callback(time, tick(f"before@{time:g}"))
+    counts = [
+        TraceArrival([0.0, 5.0, 10.0]).drive(sim, 10.0, release("a")),
+        TraceArrival([0.0, 5.0, 5.0, 10.0]).drive(sim, 10.0, release("b")),
+        PeriodicArrival(period=5.0).drive(sim, 10.0, release("c")),
+    ]
+    for time in (0.0, 5.0, 10.0):
+        sim.schedule_callback(time, tick(f"after@{time:g}"))
+    sim.run_until(10.0)
+
+    assert counts == [3, 4, 3]
+    expected = []
+    for time, releases in (
+        (0, ["a0", "b0", "c0"]),
+        (5, ["a1", "b1", "b2", "c1"]),
+        (10, ["a2", "b3", "c2"]),
+    ):
+        expected += releases + [f"before@{time}", f"after@{time}"]
+        expected += [f"from-{name}" for name in releases]
+    assert fired == expected
+
+
+def _fire_order(streams, *, bulk):
+    """Labels in firing order for ``streams``, whose release callbacks
+    schedule priority-0 follow-ups (some at the same instant).  ``bulk``
+    inserts every release up front through :meth:`Simulator.schedule_at`,
+    drawing the same sequence numbers in the same order."""
+    sim = Simulator()
+    fired = []
+
+    def on_release(name):
+        def callback(event):
+            fired.append((name, event.index))
+            delay = (0.0, 0.0, 0.5, 1.25)[event.index % 4]
+            sim.schedule_callback(
+                sim.now + delay, lambda _sim: fired.append((name, event.index, delay))
+            )
+
+        return callback
+
+    for name, process in streams:
+        callback = on_release(name)
+        if bulk:
+            for event in process.events(200.0):
+                sim.schedule_at(event.time, lambda _sim, e=event, c=callback: c(e), priority=-1)
+        else:
+            process.drive(sim, 200.0, callback)
+    sim.run_until(200.0)
+    return fired
+
+
+def _tied_streams(seed):
+    factory = RngFactory(seed)
+    streams = [
+        ("poisson", PoissonArrival(rate_jps=200.0, rng=factory.stream("p"))),
+        (
+            "mmpp",
+            MmppArrival(rates_jps=(50.0, 900.0), dwell_ms=(30.0, 10.0), rng=factory.stream("m")),
+        ),
+        ("periodic", PeriodicArrival(period=2.5)),
+        ("periodic-twin", PeriodicArrival(period=5.0)),
+        ("trace", TraceArrival([0.0, 2.5, 2.5, 2.5, 7.5, 100.0, 100.0])),
+    ]
+    jittered = MMPP_WORKLOAD.with_jitter(1.5).arrival_for_task(
+        period_ms=4.0, rng=factory.stream("j"), jitter_rng=factory.stream("jitter")
+    )
+    return streams + [("jittered", jittered)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_streamed_releases_fire_exactly_like_bulk_insertion(seed):
+    streamed = _fire_order(_tied_streams(seed), bulk=False)
+    assert streamed == _fire_order(_tied_streams(seed), bulk=True)
+    assert len(streamed) > 400
+
+
+def test_drive_taskset_keeps_one_pending_release_per_task():
+    tasks = [_Task(task_id, period_ms=3.0 + task_id) for task_id in range(40)]
+    sim = Simulator()
+    depths = []
+    released = ReleaseStream(MMPP_WORKLOAD, RngFactory(4)).drive_taskset(
+        sim, 500.0, tasks, lambda task, event: depths.append(sim.pending_events)
+    )
+    assert sim.pending_events == len(tasks)
+    sim.run_until(500.0)
+    assert released == len(depths) > 10 * len(tasks)
+    # A firing release's successor is already pushed; nothing else is queued.
+    assert max(depths) == len(tasks)
+    assert sim.pending_events == 0 and sim.events_fired == released
+
+
+def test_a_stream_that_goes_back_in_time_raises():
+    with pytest.raises(SimulationError, match="back in time"):
+        _Backwards().drive(Simulator(), 10.0, lambda event: None)
+
+
+def test_drive_rejects_past_releases_and_clamps_rounding_noise():
+    sim = Simulator()
+    sim.run_until(5.0)
+    with pytest.raises(SimulationError, match="cannot schedule"):
+        TraceArrival([4.0, 6.0]).drive(sim, 10.0, lambda event: None)
+    # Keys (what peek_next_time reads) are clamped to the clock; events are not.
+    seen = []
+    TraceArrival([5.0 - 2e-12, 5.0 - 1e-12, 6.0]).drive(
+        sim, 10.0, lambda event: seen.append((event.time, sim.now, sim.peek_next_time()))
+    )
+    assert sim.peek_next_time() == 5.0
+    sim.run_until(10.0)
+    assert seen == [(5.0 - 2e-12, 5.0, 5.0), (5.0 - 1e-12, 5.0, 6.0), (6.0, 6.0, None)]
+
+
+def test_an_abandoned_stream_is_freed_without_the_cycle_collector():
+    """The pending release holds no reference back to the heap, so dropping
+    a simulator mid-run frees the stream's releases and callback at once."""
+
+    class Sink:
+        def __call__(self, event):
+            pass
+
+    sink = Sink()
+    alive = weakref.ref(sink)
+    sim = Simulator()
+    gc.disable()
+    try:
+        PeriodicArrival(period=1.0).drive(sim, 100.0, sink)
+        sim.run_until(10.0)
+        del sim, sink
+        assert alive() is None
+    finally:
+        gc.enable()
