@@ -7,10 +7,11 @@ requests that cannot are dropped.  The paper cites it as the design point that
 trades throughput for predictability.
 
 The GPU is an :class:`~repro.gpu.exclusive.ExclusiveDevice`: with one DNN
-at a time a stage's latency is a closed form, so each stage costs one
-completion event, computed at launch float-for-float as the MPS engine
-would on a 1x1 OS1 platform (the float-order contract is in
-:mod:`repro.gpu.exclusive`).  Faults drive the same device model.
+at a time a request's latency is a closed form, so the server launches the
+request's whole stage chain and it costs one completion event, computed at
+launch float-for-float as the MPS engine would on a 1x1 OS1 platform (the
+float-order contract is in :mod:`repro.gpu.exclusive`).  Faults drive the
+same device model, one event per stage.
 """
 
 from __future__ import annotations
@@ -169,12 +170,17 @@ class ClockworkServer:
         per_priority = {Priority.HIGH: PriorityMetrics(), Priority.LOW: PriorityMetrics()}
         per_task_completed: Dict[str, int] = {}
 
-        def predicted_latency(model: DnnModel) -> float:
-            # One DNN at a time on the whole GPU: the isolated latency *is*
-            # the (deterministic) worst case, which is Clockwork's core idea.
-            # The admission slack scales the prediction the test uses —
-            # > 1 sheds earlier (conservative), < 1 admits deeper (optimistic).
-            return model.isolated_latency_ms(self.calibration) * self.admission_slack
+        # Per model: the predicted latency and the stage kernel specs.  With
+        # one DNN at a time the isolated latency *is* the (deterministic) worst
+        # case, Clockwork's core idea; the admission slack scales it — > 1
+        # sheds earlier (conservative), < 1 admits deeper (optimistic).
+        per_model = {
+            id(task.model): (
+                task.model.isolated_latency_ms(self.calibration) * self.admission_slack,
+                tuple(stage.to_kernel_spec() for stage in task.model.stages),
+            )
+            for task in taskset.tasks
+        }
 
         def start_next() -> None:
             while queue and not busy["running"]:
@@ -189,7 +195,7 @@ class ClockworkServer:
                     bucket.admitted += 1
                     bucket.timed_out += 1
                     continue
-                latency = predicted_latency(request.model)
+                latency, kernels = per_model[id(request.model)]
                 effective = latency
                 if policy.shed_when_degraded and injector.degraded:
                     factor = injector.slowdown_factor
@@ -205,13 +211,8 @@ class ClockworkServer:
                     continue
                 busy["running"] = True
                 bucket.admitted += 1
-                state = {"stage": 0}
 
-                def on_stage_done(request=request, state=state) -> None:
-                    state["stage"] += 1
-                    if state["stage"] < request.model.num_stages:
-                        submit_stage(request, state)
-                        return
+                def on_done(request=request) -> None:
                     busy["running"] = False
                     self.completed += 1
                     bucket = per_priority[request.priority]
@@ -227,10 +228,6 @@ class ClockworkServer:
                     injector.note_completion(simulator.now, on_time=not late)
                     start_next()
 
-                def submit_stage(request=request, state=state) -> None:
-                    stage = request.model.stages[state["stage"]]
-                    device.launch(stage.to_kernel_spec(), on_stage_done)
-
                 outcome = injector.launch_attempt()
                 if outcome.retries:
                     bucket.launch_retries += outcome.retries
@@ -244,11 +241,11 @@ class ClockworkServer:
                     deferred_launch(
                         simulator,
                         outcome,
-                        lambda request=request, state=state: submit_stage(request, state),
+                        lambda: device.launch(kernels, on_done),
                         on_launch_failed,
                     )
                     return
-                submit_stage(request, state)
+                device.launch(kernels, on_done)
                 return
 
         def on_release(task, release_time: float) -> None:

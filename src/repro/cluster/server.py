@@ -4,13 +4,14 @@ One :class:`~repro.sim.simulator.Simulator` hosts the whole cluster — each
 device is an :class:`~repro.gpu.exclusive.ExclusiveDevice` on that shared
 event graph, and a :class:`_GpuWorker` drives it with the Clockwork
 discipline: one DNN at a time, EDF order, admission by predicted completion
-time.  One DNN at a time makes a stage's latency a closed form: the device
-computes it at launch and pushes one event per stage, float-for-float what
-the MPS engine computes on a 1x1 OS1 platform (the float-order contract is
-in :mod:`repro.gpu.exclusive`).  Releases enter at the cluster level
-through the shared :class:`~repro.sim.workload.ReleaseStream`, the router
-picks a device, and the request becomes an event in that device's loop;
-completions re-arm the device's executor.  There is no wall-clock interleaving anywhere — every
+time.  One DNN at a time makes a request's latency a closed form: the
+device computes the request's stage chain at launch and pushes one
+completion event, float-for-float what the MPS engine computes on a 1x1 OS1
+platform (the float-order contract is in :mod:`repro.gpu.exclusive`).
+Releases enter at the cluster level through the shared
+:class:`~repro.sim.workload.ReleaseStream`, the router picks a device, and
+the request becomes an event in that device's loop; completions re-arm the
+device's executor.  There is no wall-clock interleaving anywhere — every
 cross-device dependency is a simulator event — so runs are bit-identical
 per seed under the established RNG-stream discipline.
 
@@ -80,7 +81,6 @@ class _TaskProfile:
         "predicted_ms",
         "relative_deadline_ms",
         "kernels",
-        "num_stages",
     )
 
     def __init__(self, task, bucket: PriorityMetrics, predicted_ms: float, kernels):
@@ -90,7 +90,6 @@ class _TaskProfile:
         self.predicted_ms = predicted_ms
         self.relative_deadline_ms = task.relative_deadline_ms
         self.kernels = kernels
-        self.num_stages = len(kernels)
 
 
 class _QueuedRequest:
@@ -113,8 +112,8 @@ class _GpuWorker:
     and per-device telemetry; the headline counters go to the cluster-shared
     per-priority buckets so the merged metrics match what one big Clockwork
     run over the same event sequence would have produced.  One request runs
-    at a time, so the in-flight state lives in two slots
-    (``_active``/``_stage``) instead of per-request closures, and every load
+    at a time, so the request in flight lives in one slot (``_active``)
+    instead of a per-request closure, and every load
     / queue-depth delta is mirrored into the run's
     :class:`~repro.cluster.ledger.DispatchLedger` when one is bound.
     """
@@ -134,7 +133,6 @@ class _GpuWorker:
         "_track_load",
         "_track_depth",
         "_active",
-        "_stage",
         "routed",
         "completed",
         "missed",
@@ -166,7 +164,6 @@ class _GpuWorker:
         self._track_load = False
         self._track_depth = False
         self._active: Optional[_QueuedRequest] = None
-        self._stage = 0
         # Telemetry.
         self.routed = 0
         self.completed = 0
@@ -181,21 +178,6 @@ class _GpuWorker:
         self._track_depth = ledger.backlog > 0
 
     # ------------------------------------------------------------- load view
-
-    @property
-    def running(self) -> bool:
-        """True while a request occupies the device."""
-        return self._active is not None
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests queued or running on this device."""
-        return self.depth
-
-    @property
-    def alive(self) -> bool:
-        """False while degraded (crash recovery or slowdown window)."""
-        return not self.injector.degraded
 
     def load_view(self) -> GpuLoadView:
         """Snapshot handed to the router at dispatch time (reference path)."""
@@ -301,21 +283,18 @@ class _GpuWorker:
                 self._depth_delta(-1)
                 continue
             self._active = request
-            self._stage = 0
             bucket.admitted += 1
             outcome = injector.launch_attempt()
             if outcome.retries:
                 bucket.launch_retries += outcome.retries
             if not outcome.succeeded or outcome.delay_ms > 0.0:
-                deferred_launch(
-                    simulator, outcome, self._submit_stage, self._launch_failed
-                )
+                deferred_launch(simulator, outcome, self._launch, self._launch_failed)
                 return
-            self._submit_stage()
+            self._launch()
             return
 
-    def _submit_stage(self) -> None:
-        self.device.launch(self._active.profile.kernels[self._stage], self._on_stage_done)
+    def _launch(self) -> None:
+        self.device.launch(self._active.profile.kernels, self._on_done)
 
     def _launch_failed(self) -> None:
         request = self._active
@@ -325,13 +304,9 @@ class _GpuWorker:
         self._depth_delta(-1)
         self.start_next()
 
-    def _on_stage_done(self) -> None:
-        self._stage += 1
+    def _on_done(self) -> None:
         request = self._active
         profile = request.profile
-        if self._stage < profile.num_stages:
-            self._submit_stage()
-            return
         self._active = None
         self.completed += 1
         bucket = profile.bucket
@@ -594,7 +569,7 @@ class ClusterServer:
             def maybe_migrate(model_name: str, now: float) -> None:
                 # Reference trigger: per-release scan over the eligible set.
                 eligible = placement.gpus_for(model_name)
-                best_depth = min(workers[g].queue_depth for g in eligible)
+                best_depth = min(workers[g].depth for g in eligible)
                 if best_depth < config.migration_backlog:
                     backlog_since.pop(model_name, None)
                     return

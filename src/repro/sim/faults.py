@@ -508,14 +508,17 @@ class FaultInjector:
         crashes ``interrupt_context(context, recovery_ms)`` on one of the
         device's ``num_contexts`` contexts.  All timelines are drawn eagerly
         here so the RNG draw order never depends on how the run interleaves.
+        An ``ExclusiveDevice`` taking faults is made ``stepped`` (one event per stage).
         A no-op for specs without device-level components.
         """
         self._simulator = simulator
         target = getattr(device, "engine", device)
         slowdown = self.spec.slowdown
+        crash = self.spec.crash
+        if (slowdown is not None or crash is not None) and hasattr(target, "stepped"):
+            target.stepped = True
         if slowdown is not None:
             self._install_slowdown(simulator, target, slowdown, horizon_ms)
-        crash = self.spec.crash
         if crash is not None:
             self._install_crashes(simulator, device.num_contexts, target, crash, horizon_ms)
 
