@@ -1,13 +1,11 @@
 """The built-in scheduler backends: DARIS plus the paper's five baselines.
 
-Each backend adapts one existing scheduler/server to the uniform
-:class:`~repro.backends.base.SchedulerBackend` protocol.  The heterogeneous
-legacy entry points — ``run_daris_scenario``, ``RtgpuScheduler.run_taskset``,
-``ClockworkServer.run_taskset``, ``GSliceServer.run_saturated``,
-``BatchingServer.run_saturated`` / ``run_with_arrivals``,
-``SingleTenantExecutor.run`` — all normalize to *(request in, result out)*,
-so every system gets caching, seed replication, CI aggregation and sharded
-sweeps from the experiment engine for free.
+Each backend adapts one scheduler/server to the uniform
+:class:`~repro.backends.base.SchedulerBackend` protocol: *(request in,
+result out)*, the result carrying the run's
+:class:`~repro.rt.metrics.ScenarioMetrics`, so every system gets caching,
+seed replication, CI aggregation and sharded sweeps from the experiment
+engine for free.
 
 Seeding: every backend builds its randomness from
 ``RngFactory(request.seed)``, so a backend run twice with the same seed is
@@ -129,7 +127,7 @@ class ClockworkBackend(SchedulerBackend):
             calibration=request.calibration,
             admission_slack=request.config.admission_slack,
         )
-        outcome = server.run_taskset(
+        metrics = server.run_taskset(
             request.taskset,
             request.horizon_ms,
             workload=request.workload,
@@ -137,7 +135,7 @@ class ClockworkBackend(SchedulerBackend):
             faults=request.faults,
             resilience=self.resilience,
         )
-        return _result(request, outcome.metrics)
+        return _result(request, metrics)
 
 
 class SingleBackend(SchedulerBackend):
@@ -201,7 +199,7 @@ class BatchingBackend(SchedulerBackend):
                 rng=RngFactory(request.seed),
             )
             return _result(request, outcome.metrics)
-        outcome = server.run_with_arrivals(
+        metrics = server.run_with_arrivals(
             arrival_rate_jps=request.taskset.total_demand_jps,
             deadline_ms=_min_relative_deadline_ms(request.taskset),
             horizon_ms=request.horizon_ms,
@@ -211,7 +209,7 @@ class BatchingBackend(SchedulerBackend):
             faults=request.faults,
             resilience=self.resilience,
         )
-        return _result(request, outcome.metrics)
+        return _result(request, metrics)
 
 
 class GSliceBackend(SchedulerBackend):
@@ -240,13 +238,13 @@ class GSliceBackend(SchedulerBackend):
             calibration=request.calibration,
             oversubscription=request.config.oversubscription,
         )
-        outcome = server.run_saturated(
+        metrics = server.run_saturated(
             request.horizon_ms,
             faults=request.faults,
             resilience=self.resilience,
             rng=RngFactory(request.seed),
         )
-        return _result(request, outcome.metrics)
+        return _result(request, metrics)
 
 
 BUILTIN_BACKENDS = tuple(

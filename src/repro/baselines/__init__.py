@@ -14,26 +14,18 @@
   admission but without task prioritization.
 """
 
-from repro.baselines.results import JpsResult, LegacyMappingResult, single_class_metrics
+from repro.baselines.results import JpsResult, single_class_metrics
 from repro.baselines.single import SingleTenantExecutor
-from repro.baselines.batching_server import (
-    BatchingArrivalResult,
-    BatchingServer,
-    saturated_batching_jps,
-)
-from repro.baselines.gslice import GSliceResult, GSliceServer
-from repro.baselines.clockwork import ClockworkResult, ClockworkServer
+from repro.baselines.batching_server import BatchingServer, saturated_batching_jps
+from repro.baselines.gslice import GSliceServer
+from repro.baselines.clockwork import ClockworkServer
 from repro.baselines.rtgpu import RtgpuScheduler
 
 __all__ = [
-    "BatchingArrivalResult",
     "BatchingServer",
-    "ClockworkResult",
     "ClockworkServer",
-    "GSliceResult",
     "GSliceServer",
     "JpsResult",
-    "LegacyMappingResult",
     "RtgpuScheduler",
     "SingleTenantExecutor",
     "saturated_batching_jps",

@@ -12,12 +12,11 @@ problematic for real-time workloads (jobs wait for their batch to fill).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.baselines.results import JpsResult, LegacyMappingResult, single_class_metrics
+from repro.baselines.results import JpsResult, single_class_metrics
 from repro.dnn.batching import batched_stage_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
@@ -46,42 +45,6 @@ def saturated_batching_jps(
     """Measured throughput of back-to-back full batches on an idle GPU."""
     server = BatchingServer(model, batch_size, gpu=gpu, calibration=calibration)
     return server.run_saturated(horizon_ms)
-
-
-@dataclass(frozen=True)
-class BatchingArrivalResult(LegacyMappingResult):
-    """Typed summary of a rate-driven batching run.
-
-    Replaces the raw ``dict`` :meth:`BatchingServer.run_with_arrivals` used
-    to return; the historical keys (``throughput_jps`` /
-    ``deadline_miss_rate`` / ``completed``) remain readable through the
-    deprecated mapping shim.
-    """
-
-    metrics: ScenarioMetrics
-    released: int
-
-    @property
-    def throughput_jps(self) -> float:
-        """Completed requests per second."""
-        return self.metrics.total_jps
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        """Fraction of completed requests that finished past their deadline."""
-        return self.metrics.overall_dmr
-
-    @property
-    def completed(self) -> int:
-        """Requests that completed within the horizon."""
-        return self.metrics.total_completed
-
-    def legacy_mapping(self) -> Dict[str, object]:
-        return {
-            "throughput_jps": self.throughput_jps,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "completed": self.completed,
-        }
 
 
 class BatchingServer:
@@ -207,7 +170,7 @@ class BatchingServer:
         rng: Union[np.random.Generator, RngFactory, None] = None,
         faults: Optional[FaultSpec] = None,
         resilience: Optional[ResiliencePolicy] = None,
-    ) -> BatchingArrivalResult:
+    ) -> ScenarioMetrics:
         """Drive the server with rate-based request arrivals and deadlines.
 
         Requests are queued until ``batch_size`` of them are available (or the
@@ -345,7 +308,7 @@ class BatchingServer:
                 launch_retries=fault_counts["retries"],
                 fault_impact=FaultImpact.from_summary(injector.summary()),
             )
-        metrics = single_class_metrics(
+        return single_class_metrics(
             horizon_ms,
             completed=completed["count"],
             missed=completed["missed"],
@@ -354,4 +317,3 @@ class BatchingServer:
             per_task_completed={self.model.name: completed["count"]},
             **fault_kwargs,
         )
-        return BatchingArrivalResult(metrics=metrics, released=released)

@@ -9,10 +9,9 @@ therefore modest (the paper quotes ~3.5 % for ResNet50).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.results import LegacyMappingResult, single_class_metrics
+from repro.baselines.results import single_class_metrics
 from repro.dnn.batching import batched_stage_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
@@ -28,27 +27,6 @@ from repro.sim.faults import (
 )
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
-
-
-@dataclass(frozen=True)
-class GSliceResult(LegacyMappingResult):
-    """Typed summary of a saturated GSlice run.
-
-    Replaces the raw per-model ``dict`` (with its magic ``"total"`` key)
-    :meth:`GSliceServer.run_saturated` used to return; the historical keys
-    stay readable through the deprecated mapping shim.
-    """
-
-    metrics: ScenarioMetrics
-    per_model_jps: Mapping[str, float]
-
-    @property
-    def total_jps(self) -> float:
-        """Throughput summed over every partition."""
-        return self.metrics.total_jps
-
-    def legacy_mapping(self) -> Dict[str, object]:
-        return {**dict(self.per_model_jps), "total": self.total_jps}
 
 
 class GSliceServer:
@@ -90,8 +68,11 @@ class GSliceServer:
         faults: Optional[FaultSpec] = None,
         resilience: Optional[ResiliencePolicy] = None,
         rng: Optional[RngFactory] = None,
-    ) -> GSliceResult:
-        """Run every partition at saturation; returns per-model and total JPS.
+    ) -> ScenarioMetrics:
+        """Run every partition at saturation; returns the run's metrics.
+
+        ``total_jps`` is the throughput summed over every partition and
+        ``per_task_completed`` counts each model's completed requests.
 
         ``faults`` / ``resilience`` inject the scenario's fault processes:
         throttle windows and context crashes slow/stall the partitions, and
@@ -159,9 +140,6 @@ class GSliceServer:
             launch_batch(partition)
         simulator.run_until(horizon_ms)
 
-        per_model = {
-            name: 1000.0 * count / horizon_ms for name, count in self.completed_jobs.items()
-        }
         response_times = [
             latency
             for partition, model in enumerate(self.models)
@@ -170,7 +148,7 @@ class GSliceServer:
         ]
         completed = sum(self.completed_jobs.values())
         served = completed + fault_counts["failed"]
-        metrics = single_class_metrics(
+        return single_class_metrics(
             horizon_ms,
             completed=completed,
             released=served,
@@ -181,7 +159,6 @@ class GSliceServer:
             per_task_completed=dict(self.completed_jobs),
             fault_impact=FaultImpact.from_summary(injector.summary()),
         )
-        return GSliceResult(metrics=metrics, per_model_jps=per_model)
 
     @staticmethod
     def reported_gain_over_batching() -> float:

@@ -92,6 +92,34 @@ class _TaskProfile:
         self.kernels = kernels
 
 
+def task_profiles(
+    taskset: TaskSetSpec,
+    calibration: GpuCalibration,
+    per_priority: Dict[Priority, PriorityMetrics],
+    admission_slack: float = 1.0,
+) -> Dict[int, _TaskProfile]:
+    """Each task's :class:`_TaskProfile`, keyed by ``id(task)``.
+
+    The predicted latency and the stage kernel specs are memoized per model
+    and shared by every task of that model.  With one DNN at a time the
+    isolated latency *is* the (deterministic) worst case, Clockwork's core
+    idea; ``admission_slack`` scales it — > 1 sheds earlier (conservative),
+    < 1 admits deeper (optimistic).
+    """
+    per_model: Dict[int, tuple] = {}
+    profiles: Dict[int, _TaskProfile] = {}
+    for task in taskset.tasks:
+        model = task.model
+        memo = per_model.get(id(model))
+        if memo is None:
+            memo = per_model[id(model)] = (
+                model.isolated_latency_ms(calibration) * admission_slack,
+                tuple(stage.to_kernel_spec() for stage in model.stages),
+            )
+        profiles[id(task)] = _TaskProfile(task, per_priority[task.priority], *memo)
+    return profiles
+
+
 class _QueuedRequest:
     """A routed request; queued as ``(deadline, seq, request)`` so the EDF
     heap compares in C (``seq`` is unique: the request is never compared)."""
@@ -107,6 +135,11 @@ class _QueuedRequest:
 
 class _GpuWorker:
     """One device's executor: the Clockwork loop bound to a shared simulator.
+
+    It is the only implementation of Clockwork's rule (EDF pop, timeout
+    charge, reject vs shed under degradation, launch retries): the
+    ``clockwork`` backend runs one worker fed straight by its release
+    stream, the cluster one per device behind the router.
 
     Keeps a ledger of outstanding predicted work (the router's load signal)
     and per-device telemetry; the headline counters go to the cluster-shared
@@ -487,25 +520,7 @@ class ClusterServer:
         dispatch_seq = count(1)
         migration_on = config.migration_backlog > 0 and num_gpus >= 2
 
-        # Per-run memos: predicted isolated latency per (model, calibration)
-        # and the stage kernel specs per model, shared by every task of that
-        # model; per-task profiles bundle them with the metric bucket.
-        predicted_by_model: Dict[int, float] = {}
-        kernels_by_model: Dict[int, tuple] = {}
-        profiles: Dict[int, _TaskProfile] = {}
-        for task in taskset.tasks:
-            model = task.model
-            key = id(model)
-            predicted = predicted_by_model.get(key)
-            if predicted is None:
-                predicted = model.isolated_latency_ms(self.calibration)
-                predicted_by_model[key] = predicted
-                kernels_by_model[key] = tuple(
-                    stage.to_kernel_spec() for stage in model.stages
-                )
-            profiles[id(task)] = _TaskProfile(
-                task, per_priority[task.priority], predicted, kernels_by_model[key]
-            )
+        profiles = task_profiles(taskset, self.calibration, per_priority)
 
         # The indexed tier: one dispatch ledger per run, device deltas
         # mirrored in, routing and migration triggers read it directly.

@@ -875,8 +875,25 @@ class GpuEngine:
                     else:
                         finished.append(kernel)
         if not finished:
-            self._replan()
-            return
+            # Far from t=0 a kernel can keep more than _EPSILON_WORK of work
+            # whose completion would land at ``now`` again, and the run would
+            # spin: such a kernel is done.
+            if self._vec_active:
+                rates = self._vec_rate
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    stuck = (rates > 0.0) & (now + self._vec_rw / rates == now)
+                finished_idx = np.nonzero(stuck)[0]
+                finished = [self._vec_kernels[index] for index in finished_idx.tolist()]
+            else:
+                finished = [
+                    kernel
+                    for kernel in self._running.values()
+                    if kernel.current_rate > 0
+                    and now + kernel.remaining_work / kernel.current_rate == now
+                ]
+            if not finished:
+                self._replan()
+                return
         if self._vec_active:
             self._vec_rw = np.delete(self._vec_rw, finished_idx)
             self._vec_rate = np.delete(self._vec_rate, finished_idx)

@@ -17,8 +17,8 @@ stage chain, replays its stages' events at launch and pushes one completion
 event (mid-chain, ``utilization_integral()`` replays up to ``now``).  A stage
 keeps its own events on a ``stepped`` device, one with a fault timeline (a
 fault at or before ``ready_at`` hits the dispatch window: a slowdown only
-moves ``fire_at``, a crash only blocks the dispatcher), and when its re-arm
-cannot advance the clock (past ~1e7 ms), to livelock as in the engine.
+moves ``fire_at``, a crash only blocks the dispatcher).  A re-arm that
+cannot advance the clock (past ~1e7 ms) finishes the stage, as in the engine.
 
 Ordering contracts (the golden digests show no case where they matter): a
 completion event is sequenced when pushed, not at dispatch-ready, so an
@@ -110,16 +110,13 @@ class ExclusiveDevice:
         if not self.stepped:
             self._fold = (self.simulator.now, self._dispatcher_free_at, self._integral)
             self._stage, self._integral, end, self._dispatcher_free_at = self._replay(inf)
-            if self._stage:
-                self._last_update = end
-                return self._arm(end)
-            self._fold = None  # the first stage's re-arm cannot advance the clock
+            self._last_update = end
+            return self._arm(end)
         self._start_stage()
 
     def _replay(self, until: float) -> tuple:
-        """Replay the folded stages' events up to ``until``, stopping before a
-        stage whose re-arm cannot advance the clock.  Returns ``(stages done,
-        integral at until, last stage end, dispatcher_free_at)``."""
+        """Replay the folded stages' events up to ``until``.  Returns ``(stages
+        done, integral at until, last stage end, dispatcher_free_at)``."""
         now, free_at, integral = self._fold
         plans = self._plans
         for stage, spec in enumerate(self._kernels):
@@ -140,7 +137,7 @@ class ExclusiveDevice:
                     break
                 refire = last + remaining / rate
                 if refire == fire:
-                    return stage, integral, now, free_at
+                    break  # the re-arm cannot advance the clock: done
                 fire = refire
             else:
                 if until > last:
@@ -194,8 +191,10 @@ class ExclusiveDevice:
         else:
             self._settle()
             if self._remaining > _EPSILON_WORK:
-                self._arm()
-                return
+                fire_at = self._last_update + self._remaining / self._rate
+                if fire_at != self._last_update:
+                    return self._arm(fire_at)
+                # The re-arm cannot advance the clock: the stage is done.
             self._util = 0.0
             self._kernels_done += 1
             self._stage += 1

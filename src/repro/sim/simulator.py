@@ -6,10 +6,12 @@ milliseconds) and the task periods (tens of milliseconds) in a comfortable
 numeric range.
 
 Cancellation is lazy (cancelled events stay in the heap and are skipped when
-popped), but the simulator counts live versus cancelled events and compacts
-the heap when cancelled entries dominate: the GPU engine cancels and
-reschedules its completion event on every replan, which would otherwise grow
-the heap linearly with the number of replans.
+popped), and the simulator counts live versus cancelled events and compacts
+the heap when cancelled entries dominate.  No caller in ``repro`` cancels an
+:class:`~repro.sim.events.EventHandle` today (``sim.compactions`` is 0 on
+every benchmark workload): the GPU engine and the exclusive device
+supersede a stale completion event with a generation token instead, and the
+stale event fires as a no-op.
 
 Heap entries are ``(key, payload)`` pairs where ``key`` is the usual
 ``(time, priority, seq)`` tuple and ``payload`` is either a full

@@ -22,7 +22,7 @@ from repro.backends.configs import (
     SingleConfig,
     config_from_dict,
 )
-from repro.baselines.batching_server import BatchingServer, saturated_batching_jps
+from repro.baselines.batching_server import saturated_batching_jps
 from repro.baselines.clockwork import ClockworkServer
 from repro.baselines.gslice import GSliceServer
 from repro.baselines.rtgpu import RtgpuScheduler
@@ -432,28 +432,7 @@ def test_new_workload_kinds_run_deterministically_on_every_backend():
     assert covered == 15
 
 
-# ------------------------------------------------------- typed baseline shims
-
-
-def test_clockwork_typed_result_and_deprecated_mapping(resnet18):
-    taskset = table2_taskset("resnet18", model=resnet18, scale=0.25)
-    outcome = ClockworkServer().run_taskset(taskset, HORIZON)
-    assert outcome.throughput_jps == outcome.metrics.total_jps
-    assert 0.0 <= outcome.drop_rate <= 1.0
-    with pytest.warns(DeprecationWarning):
-        legacy = outcome["throughput_jps"]
-    assert legacy == outcome.throughput_jps
-    with pytest.warns(DeprecationWarning):
-        assert set(outcome.keys()) == {
-            "throughput_jps", "drop_rate", "deadline_miss_rate", "mean_response_ms"
-        }
-
-
-def test_gslice_typed_result_and_deprecated_mapping(resnet18):
-    outcome = GSliceServer([resnet18], batch_sizes=[4]).run_saturated(HORIZON)
-    assert outcome.total_jps == pytest.approx(outcome.per_model_jps["resnet18"])
-    with pytest.warns(DeprecationWarning):
-        assert outcome["total"] == outcome.total_jps
+# ------------------------------------------------------ typed baseline results
 
 
 def test_single_tenant_run_is_still_a_float_with_metrics(resnet18):
@@ -474,34 +453,6 @@ def test_jps_result_survives_pickle_and_deepcopy(resnet18):
     for clone in (pickle.loads(pickle.dumps(outcome)), copy.deepcopy(outcome)):
         assert float(clone) == float(outcome)
         assert clone.metrics == outcome.metrics
-
-
-def test_legacy_mapping_shim_covers_the_full_dict_surface(resnet18):
-    taskset = table2_taskset("resnet18", model=resnet18, scale=0.25)
-    outcome = ClockworkServer().run_taskset(taskset, HORIZON)
-    with pytest.warns(DeprecationWarning):
-        assert len(outcome) == 4
-    with pytest.warns(DeprecationWarning):
-        assert list(outcome.values()) == [
-            outcome.throughput_jps,
-            outcome.drop_rate,
-            outcome.deadline_miss_rate,
-            outcome.mean_response_ms,
-        ]
-    with pytest.warns(DeprecationWarning):
-        assert dict(outcome) == outcome.legacy_mapping()
-    with pytest.warns(DeprecationWarning):
-        assert outcome.get("nope", 0.0) == 0.0
-
-
-def test_batching_arrivals_typed_result_and_deprecated_mapping(resnet18):
-    server = BatchingServer(resnet18, batch_size=8)
-    outcome = server.run_with_arrivals(
-        arrival_rate_jps=100.0, deadline_ms=20.0, horizon_ms=HORIZON
-    )
-    assert outcome.completed == outcome.metrics.total_completed
-    with pytest.warns(DeprecationWarning):
-        assert outcome["deadline_miss_rate"] == outcome.deadline_miss_rate
 
 
 # ------------------------------------------------------------ sota / the grid
@@ -548,11 +499,8 @@ def test_sota_engine_rows_match_legacy_direct_baseline_calls():
     assert batching.total_jps == float(
         saturated_batching_jps(model, batch_size=16, horizon_ms=HORIZON)
     )
-    assert gslice.total_jps == GSliceServer([model], batch_sizes=[16]).run_saturated(
-        HORIZON
-    ).total_jps
-    legacy_clockwork = ClockworkServer().run_taskset(taskset, HORIZON)
-    assert clockwork.total_jps == legacy_clockwork.throughput_jps
+    assert gslice.metrics == GSliceServer([model], batch_sizes=[16]).run_saturated(HORIZON)
+    assert clockwork.metrics == ClockworkServer().run_taskset(taskset, HORIZON)
     legacy_rtgpu = RtgpuScheduler(DarisConfig.mps_config(6, 6.0)).run_taskset(
         taskset, HORIZON, seed=seed
     )

@@ -69,7 +69,7 @@ def test_fault_free_cluster_fires_one_event_per_release_and_completion(simulator
 
 
 def test_fault_free_clockwork_fires_one_event_per_release_and_completion(simulators):
-    result = ClockworkServer().run_taskset(
+    metrics = ClockworkServer().run_taskset(
         table2_taskset("resnet18"), 1000.0, workload=POISSON_WORKLOAD, rng=RngFactory(2)
     )
-    assert_one_event_per_release_and_completion(result.metrics, simulators)
+    assert_one_event_per_release_and_completion(metrics, simulators)

@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dnn.zoo import build_model
 from repro.gpu.calibration import DEFAULT_CALIBRATION
+from repro.gpu.engine import GpuEngine
 from repro.gpu.exclusive import ExclusiveDevice
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.platform import GpuPlatform, PlatformConfig
@@ -279,24 +281,85 @@ def residual_start(chain, clean_stages):
 
 def test_residual_work_re_arms_the_completion():
     """Far from t=0 the rounding of ``ready + work/rate`` can leave more than
-    1e-9 of work at the completion event; both models then re-arm.
-
-    The re-arm lands less than half an ulp of ``now`` later, i.e. at ``now``
-    itself, so neither model ever makes the last progress (a livelock the
-    engine has always had at such times; horizons here are seconds, not
-    hours).  The run is therefore bounded by an event count, and the two
-    models must agree on the stuck state: clock, log and utilization.  A
-    folded chain hands the stuck stage to real events instead of spinning
-    inside ``launch``: here the second stage of a chain, and a lone stage.
+    1e-9 of work at the completion event, and the re-arm would land less
+    than half an ulp of ``now`` later, i.e. at ``now`` itself.  Such a re-arm
+    cannot advance the clock, so both models finish the stage instead of
+    re-arming forever, and must agree on the clock, the log and utilization:
+    here the second stage of a chain, and a lone stage, folded and stepped.
     """
     for chain, clean in (((4, 0), 1), ((0,), 0)):
         start, ready = residual_start(chain, clean)
-        log, (_, integral, kernels), simulator = assert_equivalent(
-            [(0.0, chain, None)], start + 10.0, start=start, max_events=200
+        for stepped in (False, True):
+            log, (_, integral, kernels), simulator = assert_equivalent(
+                [(0.0, chain, None)], start + 10.0, start=start, max_events=200,
+                stepped=stepped,
+            )
+            assert [entry[:2] for entry in log] == [(0, 0)]
+            assert log[0][2] > ready and integral > 0.0 and kernels == len(chain)
+            assert simulator.events_fired < 200
+
+
+def test_a_request_far_from_t0_completes_within_an_event_bound():
+    """Regression: a resnet18 request launched at t=3e7 ms used to re-arm at
+    ``now`` forever.  The engine and both device modes complete it within a
+    few events each, at the same time."""
+    kernels = tuple(stage.to_kernel_spec() for stage in build_model("resnet18").stages)
+    ends = []
+    for make_device, stepped in (
+        (EngineDevice, False),
+        (ExclusiveDevice, False),
+        (ExclusiveDevice, True),
+    ):
+        simulator = Simulator()
+        simulator.run_until(3e7)
+        device = make_device(simulator)
+        device.stepped = stepped
+        done = []
+        device.launch(kernels, lambda: done.append(simulator.now))
+        simulator.run(max_events=100)
+        assert len(done) == 1 and not simulator._heap
+        assert device.completed_kernels == len(kernels)
+        ends.append(done[0])
+    assert ends[0] > 3e7 and ends[1:] == ends[:1] * 2
+
+
+def test_a_wide_engine_far_from_t0_completes_within_an_event_bound(monkeypatch):
+    """The same regression with 32 concurrent chains of four models on a 4x8
+    OS4 engine, wide enough for the numpy tier: the vectorized and the scalar
+    engine both complete every chain within the bound, at the same times."""
+    chains = [
+        tuple(stage.to_kernel_spec() for stage in build_model(name).stages)
+        for name in ("resnet18", "resnet50", "unet", "inceptionv3")
+    ]
+    runs = []
+    for vectorized in (True, False):
+        monkeypatch.setattr(GpuEngine, "vectorized_enabled", vectorized)
+        simulator = Simulator()
+        simulator.run_until(3e7)
+        platform = GpuPlatform(
+            simulator, PlatformConfig(num_contexts=4, streams_per_context=8, oversubscription=4.0)
         )
-        assert log == [] and integral > 0.0 and kernels == clean
-        assert simulator.now > ready  # the stage ran: re-arms, not the launch
-        assert simulator.events_fired == 200
+        ends = {}
+
+        def launch(context, stream, chain, stage):
+            def done(_kernel):
+                if stage + 1 < len(chain):
+                    launch(context, stream, chain, stage + 1)
+                else:
+                    ends[context, stream] = simulator.now
+
+            platform.launch(context, stream, chain[stage], on_complete=done)
+
+        for context in range(4):
+            for stream in range(8):
+                launch(context, stream, chains[(context * 8 + stream) % 4], 0)
+        simulator.run(max_events=1000)
+        engine = platform.engine
+        assert len(ends) == 32 and not simulator._heap
+        assert engine.completed_kernels == sum(len(chain) for chain in chains) * 8
+        assert (engine.vector_engagements > 0) is vectorized
+        runs.append(ends)
+    assert runs[0] == runs[1] and min(runs[0].values()) > 3e7
 
 
 def test_lockstep_devices_complete_in_the_engine_order():

@@ -248,13 +248,13 @@ def test_throttle_and_crashes_slow_the_single_executor_down():
 def test_client_timeouts_purge_stale_batching_queues():
     model = build_model("resnet18")
     server = BatchingServer(model, batch_size=32)
-    outcome = server.run_with_arrivals(
+    metrics = server.run_with_arrivals(
         arrival_rate_jps=100.0,
         deadline_ms=50.0,
         horizon_ms=HORIZON,
         faults=FaultSpec.lossy(drop_prob=0.0, timeout_ms=5.0),
     )
-    low = outcome.metrics.low
+    low = metrics.low
     assert low.timed_out > 0
     assert low.admitted == low.released  # drop_prob 0: everything admitted
     assert low.completed + low.timed_out <= low.admitted

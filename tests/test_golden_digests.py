@@ -10,7 +10,8 @@ must reproduce them byte for byte.  A mismatch is a defect in the device
 model, never a reason to re-record.
 
 Covered: ``clockwork`` x {periodic, poisson, bursty, diurnal} x every
-``NAMED_FAULTS`` profile x 2 seeds, and the 7-scenario cluster matrix
+``NAMED_FAULTS`` profile x 2 seeds, at the default admission slack and at
+0.8 / 1.25 (the DSE ``clockwork.slack`` axis), and the 7-scenario cluster matrix
 (replicated/partitioned x 3 routers x migration x targeted crash/throttle)
 x 2 seeds.
 
@@ -53,12 +54,13 @@ def metrics_digest(metrics) -> str:
 
 CLOCKWORK_WORKLOADS = ("periodic", "poisson", "bursty", "diurnal")
 CLOCKWORK_SEEDS = (1, 2)
+CLOCKWORK_SLACKS = ("0.8", "1.25")
 
 
-def clockwork_metrics(workload: str, fault: str, seed: int):
+def clockwork_metrics(workload: str, fault: str, seed: int, slack: float = 1.0):
     request = ScenarioRequest(
         table2_taskset("resnet18"),
-        ClockworkConfig(),
+        ClockworkConfig(admission_slack=slack),
         1000.0,
         scheduler="clockwork",
         workload=named_workload(workload),
@@ -190,6 +192,102 @@ GOLDEN_DIGESTS = {
     "clockwork/diurnal/lossy/2": "63cab7c20fd7c425938bba48e670fd1a40ca82d5c81687783b835bf85b0d23c4",
     "clockwork/diurnal/storm/1": "1d6770c6acfa318ca87ad53fe7ced74d3c8f0f7919067e7e15a865d58528dfc3",
     "clockwork/diurnal/storm/2": "4e880d23832d71a8f8d04c02989bf7f7792626b3155c4f3732df46c8e46adbb3",
+    "clockwork-slack/0.8/periodic/none/1": "bf96e59511b9bf19ca3a30a8a12b359940b8ee2fe4542cdf20dd78a147d250a5",
+    "clockwork-slack/1.25/periodic/none/1": "0687ae2a23bd796e95d802798f772d6b4768bc896410693565ad565934775900",
+    "clockwork-slack/0.8/periodic/none/2": "bf96e59511b9bf19ca3a30a8a12b359940b8ee2fe4542cdf20dd78a147d250a5",
+    "clockwork-slack/1.25/periodic/none/2": "0687ae2a23bd796e95d802798f772d6b4768bc896410693565ad565934775900",
+    "clockwork-slack/0.8/periodic/throttle/1": "cdb08e2bb62e73f392dfd2e5635d10a8e6f52f353c24e4e2e3758aaddb5bbc0d",
+    "clockwork-slack/1.25/periodic/throttle/1": "ce5f2349c391c591a100ea482e42ca3657cc6191d11055ffd58eb610d7199921",
+    "clockwork-slack/0.8/periodic/throttle/2": "cdb08e2bb62e73f392dfd2e5635d10a8e6f52f353c24e4e2e3758aaddb5bbc0d",
+    "clockwork-slack/1.25/periodic/throttle/2": "ce5f2349c391c591a100ea482e42ca3657cc6191d11055ffd58eb610d7199921",
+    "clockwork-slack/0.8/periodic/flaky-launch/1": "8741f6ed8771d18c8ec09f26884ead020ff12ab18b2a1f12508e32e7e691792c",
+    "clockwork-slack/1.25/periodic/flaky-launch/1": "d1ae5b1fccfd4d09425fabed3f43e67f206ccdaab9da09d232a28ef12ea98cc1",
+    "clockwork-slack/0.8/periodic/flaky-launch/2": "6e12990c910a1ddd6b6a5e4da5371a77b4420dfa61c4695076eb5a432cd43924",
+    "clockwork-slack/1.25/periodic/flaky-launch/2": "3533d41b110d45af5ef03bbb714737cc129e7109606cbb294adb020959c26843",
+    "clockwork-slack/0.8/periodic/crashy/1": "bbbba2e0ca9d3ac41f6ad0b9c874c340e608d8a154e3a2a80e729251c5f5a446",
+    "clockwork-slack/1.25/periodic/crashy/1": "6afacdd1139d92ee473328675828d60f5decdd5fa68b7b82658132e99e8d8142",
+    "clockwork-slack/0.8/periodic/crashy/2": "f47dc0eaecf4bad86507e2caf02f45791a8832c85f49508adb452ff21ef3b9b2",
+    "clockwork-slack/1.25/periodic/crashy/2": "d5b7e45a5b9d2a20270329bbe80868e04c583903cc1e76172828a93ee4933b31",
+    "clockwork-slack/0.8/periodic/lossy/1": "fb80b13982c99a776fedd9c245e1e7aaf53b7f7ff9c02082e2e30437ee57b789",
+    "clockwork-slack/1.25/periodic/lossy/1": "b2bd75fa65dd7d0b83298d3af92cfebc61ef3f16f3d5de7506a1770e6da37b43",
+    "clockwork-slack/0.8/periodic/lossy/2": "a6a79f062d15ad6e13afa1e9f8d9deef44c4d7cef6810f27a1b1a8858e65bccf",
+    "clockwork-slack/1.25/periodic/lossy/2": "3819335f2d23207af5db14f3254070ad3a1c20a56a3acbc5684b476de9f3b915",
+    "clockwork-slack/0.8/periodic/storm/1": "5e970731a3d82c7f88937b9a5a8927de0c1b70608881efca5565d5cc8200cdd3",
+    "clockwork-slack/1.25/periodic/storm/1": "b2dc9a79d06b9d6de2a232f64058c40d7f77fd83b7285186e7cb1fdde4be2be7",
+    "clockwork-slack/0.8/periodic/storm/2": "fe0838c519e2b32dcc7d2cc71ec7c7230b6806d0ffd1c4e42f4adef60f20d4c7",
+    "clockwork-slack/1.25/periodic/storm/2": "148594eb2118a4d5230a5d4e5be340d0324428b6c6d3e38e7a8a1b1197c62921",
+    "clockwork-slack/0.8/poisson/none/1": "4f48a898ed9b3d73b07c0b3eaed9347e0bd76ccb25da0724b2ededa56627ab95",
+    "clockwork-slack/1.25/poisson/none/1": "beef52f812c9b34485d3536405b1621e7219def0e683f71826c7d6fcb5f16700",
+    "clockwork-slack/0.8/poisson/none/2": "baa046ed2d1bb9fca05f7787463a189587fae9cfd2b237a441ee8855cc746d5c",
+    "clockwork-slack/1.25/poisson/none/2": "472558e96a4fad86995de5f388ca1f1c7fe0704b5ef248c8a02200ba2b8eaba6",
+    "clockwork-slack/0.8/poisson/throttle/1": "d6b23c394fedd318ecff04be9329e5ed1e5a6cbaab3ba308aaf88cb4ec56747d",
+    "clockwork-slack/1.25/poisson/throttle/1": "b7d9ba8e50d688f618eb600c117d1c28f496033b093d9ee9d82de08e0caaa07a",
+    "clockwork-slack/0.8/poisson/throttle/2": "1bd435dff24e2179d011dbec23136707dc7b9e9bd768282a6e62f528af81d569",
+    "clockwork-slack/1.25/poisson/throttle/2": "404f5d391613ec6a1cebab66eae3bffefae1b6feb026d00e84e7ea119b3796d8",
+    "clockwork-slack/0.8/poisson/flaky-launch/1": "daa429ce59372f8a643df6a11f2d0a30bbef187de49df9d0e4b276bf70bfc4f6",
+    "clockwork-slack/1.25/poisson/flaky-launch/1": "b3822a8d903054ac35c8d3a01689da0dfd15a9b752551bb220d0218620e53f12",
+    "clockwork-slack/0.8/poisson/flaky-launch/2": "b9f6f67d46a5f840c45948c1d9eeb800fc08fea8dedf6e1d756663e8b209f0bc",
+    "clockwork-slack/1.25/poisson/flaky-launch/2": "76931b947827150bbafc3d134e371ec4104c10fcbfc95a3930f67bb0369096f9",
+    "clockwork-slack/0.8/poisson/crashy/1": "b0c8cc71a5d263994d0e6bd181468439566f36292dafd38d3eb4ab84d7d0862e",
+    "clockwork-slack/1.25/poisson/crashy/1": "03ebf0b14fc4886c61269a4cdecbd816c92bef34366f02af3966f61bd4e51042",
+    "clockwork-slack/0.8/poisson/crashy/2": "89f8970a216784526c5d67437803a7f0404ba784a34f4c6812af1860f3b7e5c6",
+    "clockwork-slack/1.25/poisson/crashy/2": "32e30e09114c73b7e0a04a296bacca8ba6539f22f69eab2f72679ef9593d260e",
+    "clockwork-slack/0.8/poisson/lossy/1": "76fe2df36c2c6fb58832808efa0c4d0fc09657700bba782397f76ce22996d1fc",
+    "clockwork-slack/1.25/poisson/lossy/1": "2922cfd86ba5a10cebf5466e4177ffae10aa127262e15f83ff4067c899da379e",
+    "clockwork-slack/0.8/poisson/lossy/2": "91a0fb9313d639e8a21a81d29fb0a545ef93286a7ee31cfd46786d1ac907c846",
+    "clockwork-slack/1.25/poisson/lossy/2": "35896340982f86cf2f9f8c991696b5c1adc4bcd5cd60d7ed416ae698a10bfb2d",
+    "clockwork-slack/0.8/poisson/storm/1": "cfddb830030e85bd17004ad4990ba614c019a497074738820f0babb2e0fbfafa",
+    "clockwork-slack/1.25/poisson/storm/1": "e6ed3df1eb71519fbc5e79f60c4625b16db3d684a1b14a6af4633ab44f542cae",
+    "clockwork-slack/0.8/poisson/storm/2": "3f9a1f794fc9f44aae69f840c448957e1132b6d6e20baa8f098ca0cb3a529998",
+    "clockwork-slack/1.25/poisson/storm/2": "60175c54c46be025614bb52cdb7d4f87c386a6676b646dddc101eb8adbf59b81",
+    "clockwork-slack/0.8/bursty/none/1": "1c533922c4f12fe97b838848aeb92263c6ab20bf60524eacce471957c27b6677",
+    "clockwork-slack/1.25/bursty/none/1": "9904b5c30736d87ce89558c5af393a11a35895a1c533cf8063ab67e854200951",
+    "clockwork-slack/0.8/bursty/none/2": "522855b649620ab361a6372cfe91df1e5f02a4351a5eba2bc6edee810bf59c53",
+    "clockwork-slack/1.25/bursty/none/2": "e8be935183b7e81c612faa6408d481ba0c146b81db989d0d0be7477b291b175a",
+    "clockwork-slack/0.8/bursty/throttle/1": "76abca26ae6dde01ba6858d66cd910a0904116e0181188b7b543688e8a9c065a",
+    "clockwork-slack/1.25/bursty/throttle/1": "8689f0359945467a881bad9b83017c26d7f2a405f7acc2117f7f017b5fce96f3",
+    "clockwork-slack/0.8/bursty/throttle/2": "5aad64306cae60585a77c8bf6f90717d1bae5c87030cfee61503a53bf93df24e",
+    "clockwork-slack/1.25/bursty/throttle/2": "6f21bc5f5911c1882a66222a6d583f09c6bc2cd32fe5ed93d03361ab42109da5",
+    "clockwork-slack/0.8/bursty/flaky-launch/1": "8aa9e8c46db7676a73034dfee1f77e3cbc95d0956e1b0b0f1ee695dc022aac7e",
+    "clockwork-slack/1.25/bursty/flaky-launch/1": "140cdbc03606e43aab2a120fb56c5cba1c8e5f5d8d81e16bc09bdd86dae274d9",
+    "clockwork-slack/0.8/bursty/flaky-launch/2": "e76d40034acc39cc2a19631b3045d256d4b5cab953b76250fc4710b1948ec347",
+    "clockwork-slack/1.25/bursty/flaky-launch/2": "f87a1cc71b6030ffe8a7c862b8d21b1f2a1dee92a90766dddb70eefc52c5fb0a",
+    "clockwork-slack/0.8/bursty/crashy/1": "14e255403895109db73c1231fe04fecf02a4a8d32175477bd99b9ffdb26f15b6",
+    "clockwork-slack/1.25/bursty/crashy/1": "5dacf2d1ffe4d3c2ba777fdc64f9ba6db9f1748f2b129927dc5649b0805cb52e",
+    "clockwork-slack/0.8/bursty/crashy/2": "14dec325e27b1885385b7bebebd4e32a706fe7526fe5cb47b345b4c0ced262b3",
+    "clockwork-slack/1.25/bursty/crashy/2": "4f5e03675ee02693ade678ab2600eda8ed5560f032592bc4b5a5b49c46bfbf62",
+    "clockwork-slack/0.8/bursty/lossy/1": "6469f3614f6fb5c74fde754a1071a267d2c0f961d940d6fbd3ecfe2e25d256fe",
+    "clockwork-slack/1.25/bursty/lossy/1": "0a29fbceeb91874f2d12ac0fe2298a111944b5fcb8d4dd471550dc6943a7d720",
+    "clockwork-slack/0.8/bursty/lossy/2": "b50a2bb26b92f7f142e90c4e4c24d2476a702f23855a55d7684369923fb3c481",
+    "clockwork-slack/1.25/bursty/lossy/2": "25d715179fe364bf59051ac9aabcc770bb715662dacfef6fdc1ef1bf7b5d5cae",
+    "clockwork-slack/0.8/bursty/storm/1": "4957158635066275632ebad5f9b6c58244d50495ad30fdcd214c5527e94f4611",
+    "clockwork-slack/1.25/bursty/storm/1": "80cba8b59db21aaaef143995f016d3cf4c9e6c25f346c82cbcc8dc4864607626",
+    "clockwork-slack/0.8/bursty/storm/2": "c56fcd94d1f2d6c006d8f2d604fa0a18cf63428ff91dbed9cb05a0316fde05c2",
+    "clockwork-slack/1.25/bursty/storm/2": "7d5029a0e75814f0d1430ebeee23fdca40fc57e22d9094ff7586fec13b2acca8",
+    "clockwork-slack/0.8/diurnal/none/1": "aabfb2451a5649f4d19c39751023076a4a6e5d78d49d64ff07fef5f7f0e6c668",
+    "clockwork-slack/1.25/diurnal/none/1": "edf4cf9a6f0a2061c492f234d910f504510b7764c7d252967aebe324e5075162",
+    "clockwork-slack/0.8/diurnal/none/2": "29b032e4f5da7bdb3254192b98791f5e9d4fcefa72d159b33dbfd89fc07f873e",
+    "clockwork-slack/1.25/diurnal/none/2": "d9304403518d86f6b4cffdb37dfbb5207a11d32f32594bd1ed61cf23556e0787",
+    "clockwork-slack/0.8/diurnal/throttle/1": "dab16510e8cc1fd7c97ad5dade179a18ceb89609b6f08e11dc7006442680e5ec",
+    "clockwork-slack/1.25/diurnal/throttle/1": "4abe22c41b6c15d588f050f0d45f0d4f3bea455cc9f207adb6e97e3ffb142315",
+    "clockwork-slack/0.8/diurnal/throttle/2": "8c1a16274537578f2506ba483930862f764852d05270201e28196aa91e5f21da",
+    "clockwork-slack/1.25/diurnal/throttle/2": "57c3ef7ba34af90a5fadbc3b4e3189c16155597c6ed7c244a6d23ffeb489fc2b",
+    "clockwork-slack/0.8/diurnal/flaky-launch/1": "e0c7e7549912897581a23da706b82df72e11c11b632f62f03c5a68ce63923fd7",
+    "clockwork-slack/1.25/diurnal/flaky-launch/1": "bec2c589e8923ddef364b99d28660d7e0131ba36c18b5cda6e7bb0cc3fda421a",
+    "clockwork-slack/0.8/diurnal/flaky-launch/2": "f1bb4e27dd615611c62bc7b62740eab78bc2e5367e493cc13da27c849db0e1a2",
+    "clockwork-slack/1.25/diurnal/flaky-launch/2": "5a97df4ccc068aa48c09f8b0226f413670d7ddfb33bd0dd86e19236f8a575077",
+    "clockwork-slack/0.8/diurnal/crashy/1": "e346f6d64bd23ae41df80b63e819f2b4c8919fc1e91c9267980616596ff1415b",
+    "clockwork-slack/1.25/diurnal/crashy/1": "29d46d278ef824ac30d97ccc679b22f22a43f96284fd38353f4c6621d8c2068f",
+    "clockwork-slack/0.8/diurnal/crashy/2": "12397dbb9d9173c97e19f0f51c06df9ef60af86cbf79417f76c63f2ab04d2bf0",
+    "clockwork-slack/1.25/diurnal/crashy/2": "c06f628455543516a39862f7822694a5528a53ef324a3733e5f66de87fcb7275",
+    "clockwork-slack/0.8/diurnal/lossy/1": "6e9950ecca4e49da38628ba80aaf75c6899b5f1ba56aa61b6ba0f36980b2cc23",
+    "clockwork-slack/1.25/diurnal/lossy/1": "20105a8ea6d5a5c0c3e84ff72c8b2d557e9ce2fb0b490caae14df04853a11a10",
+    "clockwork-slack/0.8/diurnal/lossy/2": "da25d8849d4c73fcd39bf3407f14df564c2cd4e5aebce8073dff1eb90d8176df",
+    "clockwork-slack/1.25/diurnal/lossy/2": "0bf72fe2595e43a43afca722abbdd905ee2a6890e022fdeb8634ba3d4c549d34",
+    "clockwork-slack/0.8/diurnal/storm/1": "4f14bbbcf0e2884766649ccc28ff9127662a127d18cef2a3331f952fbc57b680",
+    "clockwork-slack/1.25/diurnal/storm/1": "4001a8f407668594eeda1009c98214e4a105e64f9c04b154eda61a2ee9c959cd",
+    "clockwork-slack/0.8/diurnal/storm/2": "1d4dc8105550530cfc5d2b2a74f80267931042bea2237732a727ed7a38064920",
+    "clockwork-slack/1.25/diurnal/storm/2": "f71f33af30a2ccdfd5d14c37ac60dba8251f56a67946f2d69a9fe5f10f39d222",
     "cluster/least_loaded/3": "b13a931efe14ae0a0ede28326f812ad931af095105c37cdac245ea68d892127c",
     "cluster/least_loaded/11": "d454f9491445f1b37588d1baf41129584d51666fbbcb85f99ed27c70af339f91",
     "cluster/round_robin/3": "e623774c43855af4f76d14218582a83f48bf11c4ba29b069c1bca8cce4821a62",
@@ -253,6 +351,8 @@ def _golden_cases():
         for fault in NAMED_FAULTS:
             for seed in CLOCKWORK_SEEDS:
                 cases.append(f"clockwork/{workload}/{fault}/{seed}")
+                for slack in CLOCKWORK_SLACKS:
+                    cases.append(f"clockwork-slack/{slack}/{workload}/{fault}/{seed}")
     for label in CLUSTER_MATRIX:
         for seed in CLUSTER_SEEDS:
             cases.append(f"cluster/{label}/{seed}")
@@ -269,6 +369,9 @@ def run_case(case: str):
     if kind == "clockwork":
         workload, fault, seed = rest
         return clockwork_metrics(workload, fault, int(seed))
+    if kind == "clockwork-slack":
+        slack, workload, fault, seed = rest
+        return clockwork_metrics(workload, fault, int(seed), float(slack))
     if kind == "release":
         consumer, workload, seed = rest
         return release_metrics(consumer, workload, int(seed))
