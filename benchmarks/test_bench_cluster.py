@@ -4,9 +4,8 @@ Times the composite ``cluster`` backend end to end — release generation,
 routing, N per-GPU EDF loops and telemetry assembly on one simulator — with
 the offered load scaled to the cluster size, so the per-GPU event volume is
 constant and the timing isolates the cost of the cluster layer itself as
-devices are added.  With the indexed dispatch tier
-(``ClusterServer.indexed_dispatch_enabled``) the per-release cost is O(1) in
-cluster size, so ``jobs_per_wall_second`` should hold near-flat from 1 to 64
+devices are added.  Routing reads the dispatch ledger's indexes, so the
+per-release cost is O(1) in cluster size, and ``jobs_per_wall_second`` should hold near-flat from 1 to 64
 GPUs; the 16/32/64 rows exist to catch any reintroduced O(num_gpus) scan.
 Under ``--record-bench`` (and not ``--benchmark-disable`` smoke mode), the
 results are written to ``BENCH_cluster.json`` through the shared perf-report

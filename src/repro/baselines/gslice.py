@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.results import single_class_metrics
-from repro.dnn.batching import batched_stage_specs
+from repro.dnn.batching import batched_kernel_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
 from repro.gpu.platform import GpuPlatform, PlatformConfig
@@ -100,11 +100,17 @@ class GSliceServer:
         self.completed_jobs = {model.name: 0 for model in self.models}
         batch_latencies: Dict[str, List[float]] = {model.name: [] for model in self.models}
         fault_counts = {"failed": 0, "retries": 0}
+        # Each partition runs one fixed batch shape: resolve its kernel
+        # specs once per run, not per batch and stage.
+        partition_specs = [
+            batched_kernel_specs(model, batch)
+            for model, batch in zip(self.models, self.batch_sizes)
+        ]
 
         def launch_batch(partition: int) -> None:
             model = self.models[partition]
             batch = self.batch_sizes[partition]
-            stages = batched_stage_specs(model, batch)
+            stages = partition_specs[partition]
             start_time = simulator.now
             state = {"stage": 0}
 
@@ -120,8 +126,7 @@ class GSliceServer:
                     launch_batch(partition)
 
             def submit_stage() -> None:
-                stage = stages[state["stage"]]
-                platform.launch(partition, 0, stage.to_kernel_spec(), on_complete=on_stage_done)
+                platform.launch(partition, 0, stages[state["stage"]], on_complete=on_stage_done)
 
             outcome = injector.launch_attempt()
             fault_counts["retries"] += outcome.retries

@@ -13,9 +13,9 @@ parallel fan-out and sharded sweeps unchanged.
 * :mod:`repro.cluster.placement` — model -> device-subset placement
   (``replicated`` / ``partitioned``) plus the migration reassignment
   primitive.
-* :mod:`repro.cluster.ledger` — the O(1)-per-event dispatch index behind
-  ``ClusterServer.indexed_dispatch_enabled`` (incremental load heap / bisect
-  ordering / backlog counters).
+* :mod:`repro.cluster.ledger` — the O(1)-per-event dispatch index the
+  server routes through (incremental load heap / bisect ordering / backlog
+  counters).
 * :mod:`repro.cluster.server` — the runtime: per-GPU Clockwork-style
   executors, cluster-level release routing, GPU-targetable fault injection,
   per-device telemetry, metrics merge.

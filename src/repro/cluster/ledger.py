@@ -31,16 +31,15 @@ devices with ``queue_depth < migration_backlog`` (``below_backlog``), updated
 only when a depth delta crosses the threshold, so the sustained-backlog
 window check collapses from a per-release min-scan to one integer compare.
 
-Equivalence contract: every structure answers *exactly* what the PR 9
-reference scan would have answered for the same ledger state — same floats,
-same tie-breaks, same epsilon — which is what lets
-``tests/test_perf_equivalence.py`` pin the indexed tier trace-identical to
-the reference path across the router x placement x fault x migration matrix.
+Equivalence contract: every structure answers *exactly* what the router's
+scan over fresh views answers for the same ledger state — same floats, same
+tie-breaks, same epsilon.  ``tests/test_cluster.py`` checks it by running
+the router x placement x fault x migration matrix with and without an
+``on_dispatch`` observer (an observed run routes through views).
 The alive-filter is handled by engagement, not emulation: the server only
 consults the index while no device is degraded (tracked O(1) via the fault
-injector's degraded-flip hook) and falls back to reference views inside
-fault windows, where the filtered candidate list is no longer a pure
-function of the ledger.
+injector's degraded-flip hook) and builds views inside fault windows, where
+the filtered candidate list is no longer a pure function of the ledger.
 """
 
 from __future__ import annotations

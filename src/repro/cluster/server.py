@@ -15,18 +15,18 @@ device's executor.  There is no wall-clock interleaving anywhere — every
 cross-device dependency is a simulator event — so runs are bit-identical
 per seed under the established RNG-stream discipline.
 
-Per-event cost: dispatch is O(1) in the cluster size.  The default
-*indexed* tier (``ClusterServer.indexed_dispatch_enabled``) resolves each
-release through the run's :class:`~repro.cluster.ledger.DispatchLedger` —
+Per-event cost: dispatch is O(1) in the cluster size.  Each release is
+resolved through the run's :class:`~repro.cluster.ledger.DispatchLedger` —
 per-task constants (predicted latency, deadline, kernel specs, metric
 bucket) are memoized once per run in a :class:`_TaskProfile`, routing reads
 the ledger's incremental min-heap / bisect ordering / cursor instead of
 materializing ``GpuLoadView`` tuples, and the sustained-backlog migration
-trigger is a per-group counter compare instead of a device scan.  The
-PR 9 reference path (fresh view tuples + lambda-keyed router scans) stays
-alive behind the toggle and whenever an ``on_dispatch`` observer needs the
-views; ``tests/test_perf_equivalence.py`` pins both paths bit-identical
-across the router x placement x fault x migration matrix.
+trigger is a per-group counter compare instead of a device scan.  Routing
+builds the views and asks the router itself only while a device is
+degraded (the alive filter needs them) or when an ``on_dispatch`` observer
+wants to see them; ``tests/test_cluster.py`` checks that an observed run
+equals an unobserved one across the router x placement x fault x migration
+matrix, and ``tests/test_golden_digests.py`` pins that matrix's metrics.
 
 RNG streams: arrivals and request-level fault draws come from the run's
 root :class:`~repro.sim.rng.RngFactory` (the exact streams a single-GPU
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.ledger import DispatchLedger
@@ -213,7 +213,7 @@ class _GpuWorker:
     # ------------------------------------------------------------- load view
 
     def load_view(self) -> GpuLoadView:
-        """Snapshot handed to the router at dispatch time (reference path)."""
+        """Snapshot handed to the router when routing builds views."""
         return GpuLoadView(
             index=self.index,
             outstanding_ms=self.outstanding_ms,
@@ -418,12 +418,6 @@ def _merged_impact(
 class ClusterServer:
     """N simulated GPUs behind a router, one event graph, one metrics merge."""
 
-    #: Class toggle for the O(1) indexed-dispatch tier (PR 7 discipline).
-    #: Off = the PR 9 reference path: fresh ``GpuLoadView`` tuples per
-    #: release, lambda-keyed router scans and the per-release migration
-    #: backlog scan.  Pinned trace-identical by ``tests/test_perf_equivalence``.
-    indexed_dispatch_enabled: ClassVar[bool] = True
-
     def __init__(
         self,
         config: ClusterConfig,
@@ -433,8 +427,8 @@ class ClusterServer:
         self.config = config
         self.gpu = gpu
         self.calibration = calibration
-        #: Dispatches resolved through the indexed tier in the last
-        #: ``serve`` run (the ``vector_engagements``-style engagement probe).
+        #: Dispatches routed by direct ledger reads (no views built) in the
+        #: last ``serve`` run.
         self.indexed_engagements = 0
 
     def serve(
@@ -453,9 +447,9 @@ class ClusterServer:
 
         ``on_dispatch(now, model_name, chosen, views)`` (when given) observes
         every routing decision with the candidate views the router saw — the
-        hook the router-invariant tests use.  Observed dispatches always run
-        the reference view-building path, so the hook sees exactly what a
-        reference run's router would.
+        hook the router-invariant tests use.  Observed dispatches build the
+        views and ask the router, so the hook sees exactly what it chose
+        from; the choices equal the ledger's.
         """
         if horizon_ms <= 0:
             raise ValueError("horizon must be positive")
@@ -469,7 +463,6 @@ class ClusterServer:
         policy = resilience if resilience is not None else DEFAULT_POLICY
         config = self.config
         num_gpus = config.num_gpus
-        indexed = type(self).indexed_dispatch_enabled
         self.indexed_engagements = 0
 
         simulator = Simulator()
@@ -522,22 +515,20 @@ class ClusterServer:
 
         profiles = task_profiles(taskset, self.calibration, per_priority)
 
-        # The indexed tier: one dispatch ledger per run, device deltas
-        # mirrored in, routing and migration triggers read it directly.
-        ledger: Optional[DispatchLedger] = None
-        group_by_model: Dict[str, object] = {}
-        if indexed:
-            ledger = DispatchLedger(
-                num_gpus,
-                config.router,
-                backlog=config.migration_backlog if migration_on else 0,
-            )
-            for injector in device_injectors:
-                injector.on_degraded_change = ledger.degraded_changed
-            for worker in workers:
-                worker.bind_ledger(ledger)
-            for name in model_names:
-                group_by_model[name] = ledger.group_for(placement.gpus_for(name))
+        # One dispatch ledger per run, device deltas mirrored in; routing
+        # and the migration trigger read it directly.
+        ledger = DispatchLedger(
+            num_gpus,
+            config.router,
+            backlog=config.migration_backlog if migration_on else 0,
+        )
+        for injector in device_injectors:
+            injector.on_degraded_change = ledger.degraded_changed
+        for worker in workers:
+            worker.bind_ledger(ledger)
+        group_by_model = {
+            name: ledger.group_for(placement.gpus_for(name)) for name in model_names
+        }
 
         def migrate(model_name: str, eligible: Tuple[int, ...], now: float) -> None:
             others = [g for g in range(num_gpus) if g not in eligible]
@@ -555,15 +546,14 @@ class ClusterServer:
                     workers[g].migrations += 1
                     moved.extend(taken)
             placement.reassign(model_name, (target,))
-            if ledger is not None:
-                group_by_model[model_name] = ledger.group_for((target,))
+            group_by_model[model_name] = ledger.group_for((target,))
             backlog_since.pop(model_name, None)
             workers[target].receive_migrated(moved)
 
         maybe_migrate: Optional[Callable[[str, float], None]]
         if not migration_on:
             maybe_migrate = None
-        elif ledger is not None:
+        else:
 
             def maybe_migrate(model_name: str, now: float) -> None:
                 # O(1) incremental trigger: ``below_backlog`` counts eligible
@@ -579,22 +569,7 @@ class ClusterServer:
                 elif now - since >= config.migration_window_ms:
                     migrate(model_name, group.devices, now)
 
-        else:
-
-            def maybe_migrate(model_name: str, now: float) -> None:
-                # Reference trigger: per-release scan over the eligible set.
-                eligible = placement.gpus_for(model_name)
-                best_depth = min(workers[g].depth for g in eligible)
-                if best_depth < config.migration_backlog:
-                    backlog_since.pop(model_name, None)
-                    return
-                since = backlog_since.get(model_name)
-                if since is None:
-                    backlog_since[model_name] = now
-                elif now - since >= config.migration_window_ms:
-                    migrate(model_name, eligible, now)
-
-        fast_routing = indexed and on_dispatch is None
+        fast_routing = on_dispatch is None
         least_loaded_kind = config.router == "least_loaded"
         deadline_kind = config.router == "deadline_aware"
         rr_select_index = (
@@ -617,7 +592,7 @@ class ClusterServer:
             predicted = profile.predicted_ms
             deadline = now + profile.relative_deadline_ms
             if fast_routing and ledger.degraded_devices == 0:
-                # Indexed tier: direct ledger reads, no view materialization.
+                # Direct ledger reads, no view materialization.
                 group = group_by_model[model_name]
                 if least_loaded_kind:
                     choice = group.least_loaded()
@@ -627,9 +602,9 @@ class ClusterServer:
                     choice = rr_select_index(group.devices)
                 engagements += 1
             else:
-                # Reference path: kept alive for the toggle-off tier, the
-                # ``on_dispatch`` observer, and dispatches made while any
-                # device is degraded (the alive-filter needs real views).
+                # Views for the ``on_dispatch`` observer, and for dispatches
+                # made while any device is degraded (the alive filter needs
+                # real views).
                 eligible = placement.gpus_for(model_name)
                 views = tuple(workers[g].load_view() for g in eligible)
                 candidates = tuple(view for view in views if view.alive) or views

@@ -23,7 +23,7 @@ from repro.gpu.kernel import KernelSpec, KernelInstance, KernelState
 from repro.gpu.stream import Stream
 from repro.gpu.context import Context
 from repro.gpu.mps import sm_quota, ceil_even, partition_quotas
-from repro.gpu.allocation import water_fill, water_fill_array, allocate_sms, AllocationResult
+from repro.gpu.allocation import water_fill, allocate_sms, AllocationResult
 from repro.gpu.engine import GpuEngine
 from repro.gpu.platform import GpuPlatform, PlatformConfig
 
@@ -41,7 +41,6 @@ __all__ = [
     "ceil_even",
     "partition_quotas",
     "water_fill",
-    "water_fill_array",
     "allocate_sms",
     "AllocationResult",
     "GpuEngine",

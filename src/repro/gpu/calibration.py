@@ -16,8 +16,8 @@ from typing import Dict, Mapping
 # The GPU engine inlines the efficiency formulas on its replan fast paths
 # (see GpuEngine._replan); it imports these constants so the model has a
 # single source of truth.  If the formula *shape* changes here, the inlined
-# copies must change too — the equivalence tests
-# (tests/test_perf_equivalence.py) catch a divergence.
+# copies must change too — the golden digests
+# (tests/test_golden_digests.py) catch a divergence.
 CONTENTION_WEIGHT_BASE = 0.6
 CONTENTION_WEIGHT_MEMORY = 0.5
 

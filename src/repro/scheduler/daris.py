@@ -54,19 +54,16 @@ class _ContextBacklog:
     Tracks, per task, how many ready-queue entries sit at each stage index and
     how many active jobs currently point at each stage.  The backlog in
     milliseconds is then recomputed from the *current* MRET stage values in
-    O(tasks x stages), independent of the ready-queue length — the reference
-    computation (:meth:`DarisScheduler._predicted_finish_reference`) walks the
-    whole queue and every active job on each admission probe instead.
+    O(tasks x stages), independent of the ready-queue length, instead of
+    walking the whole queue and every active job on each admission probe.
 
-    Numerical caveat: unlike the engine fast paths, this sum is *not* bitwise
-    identical to the reference scan — terms are grouped per task (and summed
-    via suffix accumulation) rather than in ready-queue order, so the result
-    can differ from the reference in the last ulp.  The admission test
-    compares the prediction against a deadline with an explicit 1e-9 slack,
-    so a divergence would require the estimate to land within rounding error
-    of that boundary; the trace-identity tests pin representative scenarios,
-    and ``DarisScheduler.incremental_backlog_enabled = False`` restores the
-    exact reference computation if ever needed.
+    Numerical caveat: terms are grouped per task (and summed via suffix
+    accumulation) rather than in ready-queue order, so the result can differ
+    from a queue-order scan in the last ulp.  The admission test compares
+    the prediction against a deadline with an explicit 1e-9 slack, so that
+    difference would have to land within rounding error of the boundary to
+    flip a decision; ``tests/test_scheduler_daris.py`` checks the backlog
+    against a queue scan and the golden digests pin whole runs.
     """
 
     __slots__ = ("_tasks", "_queued", "_active", "_entries", "_cache")
@@ -145,11 +142,6 @@ class _ContextBacklog:
 
 class DarisScheduler:
     """Deadline-aware real-time DNN inference scheduler on the simulated GPU."""
-
-    # Class-level switch used by the equivalence tests: when False, admission
-    # probes use the reference O(queue) backlog scan instead of the
-    # incrementally maintained counters.
-    incremental_backlog_enabled: bool = True
 
     def __init__(
         self,
@@ -333,19 +325,7 @@ class DarisScheduler:
         The prediction adds the MRET backlog of the context's queued and
         active stages (divided by the stream count) to the current time.
         """
-        if self.incremental_backlog_enabled:
-            backlog = self._backlogs[context_index].total_ms()
-        else:
-            return self._predicted_finish_reference(context_index)
-        return self.simulator.now + backlog / self.config.streams_per_context
-
-    def _predicted_finish_reference(self, context_index: int) -> float:
-        """Reference backlog scan (O(queue length + active jobs x stages))."""
-        backlog = 0.0
-        for _, stage in self._queues[context_index]:
-            backlog += stage.job.task.timing.stage_value(stage.stage_index)
-        for job in self._active_jobs[context_index].values():
-            backlog += job.remaining_mret()
+        backlog = self._backlogs[context_index].total_ms()
         return self.simulator.now + backlog / self.config.streams_per_context
 
     # ---------------------------------------------------------------- queues

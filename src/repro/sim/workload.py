@@ -248,7 +248,6 @@ class PeriodicArrival(ArrivalProcess):
         if (
             self.jitter <= 0.0
             or self._rng is None
-            or not ReleaseStream.batched_draws_enabled
             or self._chunk_pos < len(self._chunk)
             or not math.isfinite(horizon)
         ):
@@ -290,8 +289,8 @@ class PoissonArrival(ArrivalProcess):
     """Memoryless arrival process with a given mean rate (jobs per second).
 
     When :attr:`chunk_safe` is set (the generator is exclusively owned, as
-    the per-task ``poisson-arrivals[i]`` streams are) and batched draws are
-    enabled, inter-arrival gaps are drawn in chunks:
+    the per-task ``poisson-arrivals[i]`` streams are), inter-arrival gaps
+    are drawn in chunks:
     ``rng.exponential(scale, size=k)`` is bitwise identical to ``k``
     successive scalar draws, and over-drawing an exclusive stream is
     unobservable, so the release times are unchanged draw-for-draw.
@@ -312,7 +311,7 @@ class PoissonArrival(ArrivalProcess):
         self._batch = 0
 
     def prepare(self, horizon: float) -> None:
-        if not self.chunk_safe or not ReleaseStream.batched_draws_enabled:
+        if not self.chunk_safe:
             self._batch = 0
             return
         scale = 1000.0 / self.rate_jps
@@ -404,7 +403,7 @@ class MmppArrival(ArrivalProcess):
     discarded at a switch, which is statistically exact for exponential gaps
     and keeps generation deterministic per RNG stream.
 
-    Batched mode (exclusive stream + :attr:`ReleaseStream.batched_draws_enabled`)
+    Batched mode (an exclusively owned stream, :attr:`chunk_safe`)
     pre-draws chunks of *standard* exponentials and applies the per-draw
     scale as a scalar multiply: ``rng.exponential(s)`` computes exactly
     ``rng.standard_exponential() * s``, so the interleaved dwell/gap draws
@@ -435,7 +434,7 @@ class MmppArrival(ArrivalProcess):
         self._batch = 0
 
     def prepare(self, horizon: float) -> None:
-        if not self.chunk_safe or not ReleaseStream.batched_draws_enabled:
+        if not self.chunk_safe:
             self._batch = 0
             return
         if math.isfinite(horizon) and horizon > self._time:
@@ -455,16 +454,13 @@ class MmppArrival(ArrivalProcess):
         if pos < len(self._chunk):
             self._chunk_pos = pos + 1
             return self._chunk[pos]
-        batch = self._batch
-        if not batch:  # batching turned off with a drained chunk
-            return float(self._rng.standard_exponential())
-        self._chunk = self._rng.standard_exponential(size=batch).tolist()
+        self._chunk = self._rng.standard_exponential(size=self._batch).tolist()
         self._batch = self._REFILL
         self._chunk_pos = 1
         return self._chunk[0]
 
     def next_arrival(self) -> ArrivalEvent:
-        batched = self._batch or self._chunk_pos < len(self._chunk)
+        batched = self._batch
         while True:
             if self._dwell_left is None:
                 if batched:
@@ -600,12 +596,9 @@ class DiurnalArrival(ArrivalProcess):
         # Buffered vectorized inversion needs a drive-ahead-safe base (the
         # buffer over-pulls past the consumer) and the Newton sin path: the
         # numpy pass only produces *candidates*, the per-event crossing scan
-        # (scalar libm, bitwise-identical to the reference bisection) does
-        # the exact inversion.
+        # (scalar libm) does the exact inversion.
         self._buffered = (
             self.chunk_safe
-            and ReleaseStream.batched_draws_enabled
-            and DiurnalModulator.newton_enabled
             and self.profile.shape == "sin"
             and 0.0 < self.profile.amplitude <= 0.9
         )
@@ -703,8 +696,7 @@ class DiurnalArrival(ArrivalProcess):
                 event = self._base.next_arrival()
                 if math.isinf(event.time):
                     return event
-                # The numeric inversion is exact to the reference bisection;
-                # clamp so a pair of near-coincident base events can never
+                # Clamp so a pair of near-coincident base events can never
                 # come back inverted.
                 time = max(self.profile.inverse_cumulative(event.time), self._last)
                 self._last = time
@@ -915,12 +907,6 @@ class DiurnalModulator:
     which needs no randomness and preserves event order for every base.
     """
 
-    #: Class toggle: Newton-seeded inversion for the sinusoidal profile.
-    #: The 64-step reference bisection remains both the disabled path and
-    #: the runtime fallback; the Newton path reproduces its result *bitwise*
-    #: (see ``_sin_crossing``), so flipping the toggle never changes a trace.
-    newton_enabled: ClassVar[bool] = True
-
     period_ms: float = 1000.0
     amplitude: float = 0.5
     shape: str = "sin"
@@ -978,11 +964,7 @@ class DiurnalModulator:
         """``Λ⁻¹``: the real time at which the cumulative factor hits ``target``."""
         period = self.period_ms
         if self.shape == "sin":
-            if (
-                DiurnalModulator.newton_enabled
-                and target > 0.0
-                and 0.0 < self.amplitude <= 0.9
-            ):
+            if target > 0.0 and 0.0 < self.amplitude <= 0.9:
                 result = self._sin_crossing(target, self._sin_newton(target))
                 if result is not None:
                     return result
@@ -1009,7 +991,10 @@ class DiurnalModulator:
         shrink the bracket far below one ulp, so the result is the
         round-to-even midpoint of the adjacent float pair (l, h) straddling
         the predicate boundary ``cumulative(t) >= target`` — which is what
-        ``_sin_crossing`` reproduces directly.
+        ``_sin_crossing`` finds directly.  Where the rounded ``cumulative``
+        is not monotone (a few ulp wide, near the trough of a deep profile)
+        the predicate flips more than once, and the two can settle on
+        different flips a few ulp apart.
         """
         low = max(0.0, target - self.amplitude * self.period_ms / math.pi)
         high = target + 1e-12
@@ -1024,7 +1009,7 @@ class DiurnalModulator:
     def _sin_newton(self, target: float) -> float:
         """Newton candidate for ``Λ⁻¹(target)``, seeded by the linear inverse.
 
-        Accuracy-only: the exact (bisection-identical) result comes from
+        Accuracy-only: the exact result comes from
         ``_sin_crossing``, so this just has to land within a few ulp.
         ``Λ' = 1 + amplitude·sin(ωt) >= 1 - amplitude > 0``, so the
         iteration is well-conditioned for the amplitudes it is gated to.
@@ -1065,12 +1050,13 @@ class DiurnalModulator:
         return t
 
     def _sin_crossing(self, target: float, candidate: float) -> Optional[float]:
-        """Bisection-identical inversion from a near-converged candidate.
+        """Exact inversion from a near-converged candidate.
 
         Locates the adjacent float pair (l, h) with ``cumulative(l) <
         target <= cumulative(h)`` by ulp-stepping from the candidate, then
-        returns the same round-to-even midpoint the reference bisection
-        converges to.  Returns ``None`` (caller falls back to the real
+        returns the same round-to-even midpoint the bisection converges to
+        on that pair (``_sin_bisect`` can settle on another pair a few ulp
+        away where the rounded ``cumulative`` is not monotone).  Returns ``None`` (caller falls back to the real
         bisection) when the candidate is too far off, or when the crossing
         lies at/below the bracket floor ``max(0, target - slack)`` — there
         the bisection's never-evaluated endpoint takes over and its result
@@ -1381,13 +1367,6 @@ class ReleaseStream:
 
     JITTER_STREAM = "release-jitter"
     AGGREGATE_STREAM = "batching-arrivals"
-
-    #: Class toggle for chunked RNG draws (poisson/mmpp gap chunks, the
-    #: bounded periodic-jitter chunk, the diurnal inverter's base buffer).
-    #: Chunked draws reproduce the scalar sequence bitwise, so flipping the
-    #: toggle never changes a release time; the reference scalar path is
-    #: kept for the equivalence tests.
-    batched_draws_enabled: bool = True
 
     def __init__(
         self,

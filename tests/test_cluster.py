@@ -38,6 +38,7 @@ from repro.rt.taskset import TaskSetSpec, make_taskset, table2_taskset
 from repro.sim.faults import FaultSpec
 from repro.sim.rng import RngFactory
 from repro.sim.workload import POISSON_WORKLOAD, SATURATED_WORKLOAD
+from test_golden_digests import CLUSTER_MATRIX, CLUSTER_SEEDS, serve_cluster
 
 HORIZON = 600.0
 
@@ -221,6 +222,66 @@ def test_least_loaded_dispatch_invariant_end_to_end():
         chosen_view = next(view for view in views if view.index == chosen)
         alive = [view for view in views if view.alive]
         assert all(chosen_view.outstanding_ms <= view.outstanding_ms for view in alive)
+
+
+# ------------------------------------------------- ledger routing vs views
+#
+# Unobserved dispatches read the dispatch ledger directly; an ``on_dispatch``
+# observer makes every dispatch build ``GpuLoadView`` tuples and ask the
+# router instead.  Both must route identically, so the merged metrics
+# (every counter, every response time, the per-GPU breakdown) must match.
+
+
+@pytest.mark.parametrize("label", list(CLUSTER_MATRIX))
+def test_ledger_routing_matches_view_routing(label):
+    for seed in CLUSTER_SEEDS:
+        direct, direct_server = serve_cluster(label, seed)
+        observed, observed_server = serve_cluster(
+            label, seed, on_dispatch=lambda now, name, chosen, views: None
+        )
+        assert direct == observed
+        assert direct_server.indexed_engagements > 0
+        assert observed_server.indexed_engagements == 0
+
+
+def test_ledger_routing_engages_outside_degraded_windows():
+    """Fault-free runs route every dispatch through the ledger; a targeted
+    crash drops to view routing only while the device is degraded."""
+    metrics, server = serve_cluster("least_loaded", 3)
+    dispatches = (
+        metrics.high.admitted
+        + metrics.high.rejected
+        + metrics.low.admitted
+        + metrics.low.rejected
+    )
+    assert server.indexed_engagements >= dispatches > 0
+
+    _, faulted = serve_cluster("targeted-crash", 3)
+    assert 0 < faulted.indexed_engagements < server.indexed_engagements
+
+
+def test_cluster_on_dispatch_hook_sees_the_views_the_router_chose_from():
+    """An observed run routes through views, so the hook sees exactly what
+    the router chose from."""
+    observed = []
+    model = build_model("resnet18")
+    taskset = make_taskset([model], num_high=2, num_low=2, task_jps=30.0, name="hook")
+    server = ClusterServer(ClusterConfig(num_gpus=3, router="least_loaded"))
+    metrics = server.serve(
+        taskset,
+        800.0,
+        workload=POISSON_WORKLOAD,
+        rng=RngFactory(5),
+        on_dispatch=lambda now, name, chosen, views: observed.append((chosen, views)),
+    )
+    assert server.indexed_engagements == 0
+    assert len(observed) > 0
+    for chosen, views in observed:
+        eligible = [v for v in views if v.alive] or list(views)
+        best = min(eligible, key=lambda v: (v.outstanding_ms, v.index))
+        assert chosen == best.index
+    routed = sum(t.routed for t in metrics.gpu_breakdown)
+    assert routed == len(observed)
 
 
 # ------------------------------------------------------------ determinism

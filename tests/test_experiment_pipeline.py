@@ -22,7 +22,7 @@ from repro.experiments.engine import (
     run_cached_scenarios,
     run_experiment,
 )
-from repro.experiments.parallel import ScenarioRequest
+from repro.experiments.parallel import ScenarioRequest, run_scenarios_parallel
 from repro.experiments.registry import (
     ExperimentPlan,
     ExperimentSpec,
@@ -636,3 +636,50 @@ def test_cli_expect_cached_exempts_traced_scenarios(tmp_path, capsys):
     ]
     assert cli.main(args) == cli.EXIT_OK
     assert "2 simulated (2 uncacheable)" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ parallel runner
+
+
+def test_parallel_runner_matches_serial_results():
+    """Fan-out over processes returns ordered, seed-stable, identical results."""
+    taskset = table2_taskset("resnet18")
+    requests = [
+        ScenarioRequest(taskset, DarisConfig.mps_config(2, 2.0), 600.0, seed=5, label="a"),
+        ScenarioRequest(taskset, DarisConfig.mps_config(6, 6.0), 600.0, seed=5, label="b"),
+    ]
+    serial = run_scenarios_parallel(requests, processes=1)
+    parallel = run_scenarios_parallel(requests, processes=2)
+    assert [r.label for r in parallel] == ["a", "b"]
+    for left, right in zip(serial, parallel):
+        assert left.metrics == right.metrics
+
+
+def test_parallel_runner_empty_and_single():
+    assert run_scenarios_parallel([]) == []
+    taskset = table2_taskset("resnet18")
+    request = ScenarioRequest(taskset, DarisConfig.mps_config(2, 2.0), 600.0, seed=9)
+    (result,) = run_scenarios_parallel([request], processes=8)
+    assert result.total_jps > 0
+
+
+def test_parallel_runner_unordered_mode_returns_request_order():
+    """imap_unordered streaming (the sweep driver's mode) may deliver
+    completions in any order, but the returned list and the callback indices
+    must still line up with the request list."""
+    taskset = table2_taskset("resnet18")
+    requests = [
+        ScenarioRequest(taskset, DarisConfig.mps_config(2, 2.0), 600.0, seed=5, label="a"),
+        ScenarioRequest(taskset, DarisConfig.mps_config(6, 6.0), 600.0, seed=5, label="b"),
+        ScenarioRequest(taskset, DarisConfig.str_config(2), 600.0, seed=5, label="c"),
+    ]
+    seen = {}
+    results = run_scenarios_parallel(
+        requests, processes=2, on_result=lambda i, r: seen.__setitem__(i, r.label),
+        ordered=False,
+    )
+    assert [r.label for r in results] == ["a", "b", "c"]
+    assert seen == {0: "a", 1: "b", 2: "c"}
+    ordered = run_scenarios_parallel(requests, processes=1)
+    for left, right in zip(ordered, results):
+        assert left.metrics == right.metrics

@@ -1,4 +1,4 @@
-"""Golden digests of whole-run metrics for the one-DNN-at-a-time executors.
+"""Golden digests of whole-run metrics and release times.
 
 Each digest is the SHA-256 of the canonical JSON (sorted keys) of a run's
 ``ScenarioMetrics.to_dict()`` — every counter, every response-time sample in
@@ -22,6 +22,22 @@ arrival mode (``drive_aggregate``), each x {periodic, poisson, bursty,
 diurnal, jittered} x 2 seeds.  Those digests were recorded from the bulk
 release insertion (every release pushed before the run) and must hold
 unchanged for the one-pending-release-per-stream driver that replaced it.
+
+The MPS engine, the DARIS scheduler and the saturated servers are pinned
+under every ``NAMED_FAULTS`` profile x 2 seeds (periodic, 800 ms): ``daris``
+at MPS 6x1 OS6 and STR 10 (ten kernels water-filled inside one context),
+and ``gslice`` (resnet18 + unet partitions), ``single`` and
+``batching_server`` on ``SATURATED_WORKLOAD``.  Those cover engine noise,
+fault draws, the single-kernel, one-kernel-per-context and general replan
+paths, and the admission backlog.  ``diurnal-times`` pins the sinusoidal
+profile inversion directly: the SHA-256 of the raw release times of a
+Poisson base under a sin diurnal profile (25,000 releases).  These digests
+were recorded when each of those paths still had a second, toggled
+reference implementation, and both implementations gave the same digest,
+with one exception: at amplitude 0.9 the Newton inverter and the 64-step
+bisection disagree by a few ulp on ~0.3% of releases near the profile's
+trough (see ``tests/test_sim_workload.py``), and the digest pins the
+Newton inverter, the one that runs.
 """
 
 from __future__ import annotations
@@ -29,10 +45,11 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.configs import BatchingConfig, ClockworkConfig
+from repro.backends.configs import BatchingConfig, ClockworkConfig, GSliceConfig, SingleConfig
 from repro.cluster import ClusterConfig, ClusterServer
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest
@@ -41,7 +58,13 @@ from repro.rt.taskset import make_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
 from repro.sim.faults import FaultSpec
 from repro.sim.rng import RngFactory
-from repro.sim.workload import MMPP_WORKLOAD, POISSON_WORKLOAD
+from repro.sim.workload import (
+    MMPP_WORKLOAD,
+    PERIODIC_WORKLOAD,
+    POISSON_WORKLOAD,
+    SATURATED_WORKLOAD,
+    ReleaseStream,
+)
 
 
 def metrics_digest(metrics) -> str:
@@ -102,14 +125,26 @@ CLUSTER_MATRIX = {
 CLUSTER_SEEDS = (3, 11)
 
 
-def cluster_metrics(label: str, seed: int):
+def serve_cluster(label: str, seed: int, on_dispatch=None):
+    """``(metrics, server)`` of one cluster-matrix row."""
     cfg_kwargs, faults = CLUSTER_MATRIX[label]
     taskset = make_taskset(
         [build_model("resnet18")], num_high=3, num_low=5, task_jps=40.0, name="cluster-eq"
     )
-    return ClusterServer(ClusterConfig(**cfg_kwargs)).serve(
-        taskset, 1500.0, workload=POISSON_WORKLOAD, rng=RngFactory(seed), faults=faults
+    server = ClusterServer(ClusterConfig(**cfg_kwargs))
+    metrics = server.serve(
+        taskset,
+        1500.0,
+        workload=POISSON_WORKLOAD,
+        rng=RngFactory(seed),
+        faults=faults,
+        on_dispatch=on_dispatch,
     )
+    return metrics, server
+
+
+def cluster_metrics(label: str, seed: int):
+    return serve_cluster(label, seed)[0]
 
 
 # ----------------------------------------------------- release consumers
@@ -141,6 +176,71 @@ def release_metrics(consumer: str, workload: str, seed: int):
         seed=seed,
     )
     return get_backend(scheduler).execute(request).metrics
+
+
+# ------------------------------------------ faulted MPS engine and servers
+
+FAULT_SEEDS = (1, 2)
+DARIS_FAULT_CONFIGS = {
+    "mps6x1-os6": DarisConfig.mps_config(num_contexts=6, oversubscription=6.0),
+    "str10": DarisConfig.str_config(10),
+}
+
+
+def daris_fault_metrics(config: str, fault: str, seed: int):
+    request = ScenarioRequest(
+        table2_taskset("resnet18"),
+        DARIS_FAULT_CONFIGS[config],
+        800.0,
+        scheduler="daris",
+        workload=PERIODIC_WORKLOAD,
+        faults=NAMED_FAULTS[fault],
+        seed=seed,
+    )
+    return get_backend("daris").execute(request).metrics
+
+
+def _saturated_taskset(backend: str):
+    if backend == "gslice":
+        models = [build_model("resnet18"), build_model("unet")]
+        return make_taskset(models, num_high=1, num_low=1, task_jps=40.0, name="saturated")
+    return table2_taskset("resnet18")
+
+
+SATURATED_BACKENDS = {
+    "gslice": GSliceConfig(),
+    "single": SingleConfig(),
+    "batching_server": BatchingConfig(),
+}
+
+
+def saturated_metrics(backend: str, fault: str, seed: int):
+    request = ScenarioRequest(
+        _saturated_taskset(backend),
+        SATURATED_BACKENDS[backend],
+        800.0,
+        scheduler=backend,
+        workload=SATURATED_WORKLOAD,
+        faults=NAMED_FAULTS[fault],
+        seed=seed,
+    )
+    return get_backend(backend).execute(request).metrics
+
+
+# --------------------------------------------------- diurnal release times
+
+DIURNAL_AMPLITUDES = ("0.6", "0.9")
+DIURNAL_RELEASES = 25_000
+
+
+def diurnal_times_digest(amplitude: float, seed: int) -> str:
+    """SHA-256 of the raw release times (float64 bytes) of one Poisson
+    stream at 1,000 jobs/s under a 1 s sinusoidal diurnal profile."""
+    workload = POISSON_WORKLOAD.with_diurnal(period_ms=1000.0, amplitude=amplitude)
+    process = ReleaseStream(workload, RngFactory(seed)).arrival_for(0, period_ms=1.0)
+    times = [event.time for event in process.events(25_000.0)]
+    assert len(times) >= 20_000
+    return hashlib.sha256(np.asarray(times, dtype=np.float64).tobytes()).hexdigest()
 
 
 GOLDEN_DIGESTS = {
@@ -342,6 +442,70 @@ GOLDEN_DIGESTS = {
     "release/batching_server/diurnal/2": "4697af13628722cb528c91503b543ee7b47227ce71852c5db4c527a885cc8494",
     "release/batching_server/jittered/1": "699c7d0def959db6b87e87be161d9821148146690b85c266dd271eb92dea1c94",
     "release/batching_server/jittered/2": "dcdb37dac614d6c0f40ad8940acf92a4528b544583fb961969565d75125f05df",
+    "daris-faults/mps6x1-os6/none/1": "308f35bee68de9793321672b5378456fa68c9d833b33d699f1759f9099ef2e1d",
+    "daris-faults/str10/none/1": "d2040e695ec296126ef7bf88a8b4df0604458b4412c8cf896960168a3c20bab4",
+    "saturated/gslice/none/1": "be78a07541412feac06b243b71ca0ce788a70b8515b3d167c061d434222a4baf",
+    "saturated/single/none/1": "7d4231a875f10079f6258202778c7d294bffdf4c30830fefed8ffdddb29beb93",
+    "saturated/batching_server/none/1": "d9e310e31aa79ee7327b330e9515c3e5023c51838580806850d112e1176a4a56",
+    "daris-faults/mps6x1-os6/none/2": "e27b60f1f0849256995720cce19daca7c472fb0ba7f71d7cfab96766bc14b60e",
+    "daris-faults/str10/none/2": "d7fa80f5218ee199766cf30c604d12e6562facc500c63270b4e430f7e2ee7c4f",
+    "saturated/gslice/none/2": "be78a07541412feac06b243b71ca0ce788a70b8515b3d167c061d434222a4baf",
+    "saturated/single/none/2": "7d4231a875f10079f6258202778c7d294bffdf4c30830fefed8ffdddb29beb93",
+    "saturated/batching_server/none/2": "d9e310e31aa79ee7327b330e9515c3e5023c51838580806850d112e1176a4a56",
+    "daris-faults/mps6x1-os6/throttle/1": "7206d2683c4d0f6582ed599b0a59fcbf5d7bd4da72fc7842a606e1968ff534e2",
+    "daris-faults/str10/throttle/1": "f21cf34e747c58eb695b4f2a2b484fe8cfb5ac20c7015ebaa86cbf509c0cc7c5",
+    "saturated/gslice/throttle/1": "35b0d5485835b69dfee6aa301b02e3452a63b07f2db81775277181fb0a9c9188",
+    "saturated/single/throttle/1": "c72179e6f964d9b32a918934f8086040128e297c05670a862788a088f78420a1",
+    "saturated/batching_server/throttle/1": "50b8c4fcc26e3816bdb6efc2d40efbb87289200992364c1abe2cfeb1d602996b",
+    "daris-faults/mps6x1-os6/throttle/2": "781ac0f3d65db9e33d30846c489614be98e495bc6a494b25215c96664ef51b19",
+    "daris-faults/str10/throttle/2": "1b8aec3de7ee02322896fc68eb8d1d6cf47267cdb4ff7194de49f326f212c5f7",
+    "saturated/gslice/throttle/2": "35b0d5485835b69dfee6aa301b02e3452a63b07f2db81775277181fb0a9c9188",
+    "saturated/single/throttle/2": "c72179e6f964d9b32a918934f8086040128e297c05670a862788a088f78420a1",
+    "saturated/batching_server/throttle/2": "50b8c4fcc26e3816bdb6efc2d40efbb87289200992364c1abe2cfeb1d602996b",
+    "daris-faults/mps6x1-os6/flaky-launch/1": "4fd51c4d88bab6d77e65ff6809132be98a4cd69e51c42ae78ee389f73d0abb15",
+    "daris-faults/str10/flaky-launch/1": "6a19a58a416433f5b718d2b2954410501de19feda31a4414013a3424cbb8078a",
+    "saturated/gslice/flaky-launch/1": "9faf9ebb1a17d4b36286a9b27db56f228f89113aca5ce90dea0a7791078db32d",
+    "saturated/single/flaky-launch/1": "e89f3e64ae548f10cfb9ef5adc149ad1c4a4562eae0f4506721a68a92d0602fc",
+    "saturated/batching_server/flaky-launch/1": "5ff1ece40f062660bb4ab2f8fc802783f2ec4111d8c6f959c6472c8ed5bd7158",
+    "daris-faults/mps6x1-os6/flaky-launch/2": "677b1dd4fe2d20f45a4025a5942076d49cab25eddc6e9c445306e7448f5a7c6b",
+    "daris-faults/str10/flaky-launch/2": "ec4ac76335f91d65c5b8d540d2d3ca3a62d0e5323978c4034a0ff07f9afc0813",
+    "saturated/gslice/flaky-launch/2": "a2e5f2f881b30526dec0bd21dc2327cfb5ad07f007e1b53f940791015fbd6f6c",
+    "saturated/single/flaky-launch/2": "2bf7fe8696d59e314e788967aac11ed358d437a91a929060a3649c905a47110f",
+    "saturated/batching_server/flaky-launch/2": "d38ab83188716afa6a8f745af41ba2a120811093940153db87d5239517cd8cc7",
+    "daris-faults/mps6x1-os6/crashy/1": "b703f4115a9a219bbd9c5ad3869eef64bf5504001d00f48d25cd8d0dafce3e07",
+    "daris-faults/str10/crashy/1": "137620bd53919353695dc3e9ae36872f9b1538c09eb362e25ec7b556da576708",
+    "saturated/gslice/crashy/1": "fd849e35517e81a34916f9ca27509b02ee18a0894155832573bfb2e3ff24708d",
+    "saturated/single/crashy/1": "c9df16008e04ec3a9631115fd66255117a4982abb13013f98863d9960fc53b71",
+    "saturated/batching_server/crashy/1": "c133e9a63606242a5c6fdd15c04d42b9ec76187b5b70f77a2b703abd1a216200",
+    "daris-faults/mps6x1-os6/crashy/2": "30678fe5a72fd0f3a56d412f2bb4cc22d1b1bc34a08d37cddc13ce903728078f",
+    "daris-faults/str10/crashy/2": "c2d99b2c7fae5ea8af193d576fc2d541a35dd59129b29ff54670950c8c9c4453",
+    "saturated/gslice/crashy/2": "b870eb3faee7c20eb0d5bc96486f8dbf431b6159219301eb11df150f326b0458",
+    "saturated/single/crashy/2": "471f6d4b80a8ee495a11ed36a4608302351e11c6d0de1cb162a953204872d551",
+    "saturated/batching_server/crashy/2": "734caa8f52ae002c57a820239fb68e189b6a3ebed7ccb97ebb54d9d55ace2cc1",
+    "daris-faults/mps6x1-os6/lossy/1": "d8de7379e0298521534a2e35ae3232baf4a85cfaf52d5d61b3304c5ae100bb93",
+    "daris-faults/str10/lossy/1": "ddbae24b0c09227c29726d9100ebcb851a51eabc0961dc9962487ecb7cda5583",
+    "saturated/gslice/lossy/1": "b870eb3faee7c20eb0d5bc96486f8dbf431b6159219301eb11df150f326b0458",
+    "saturated/single/lossy/1": "471f6d4b80a8ee495a11ed36a4608302351e11c6d0de1cb162a953204872d551",
+    "saturated/batching_server/lossy/1": "734caa8f52ae002c57a820239fb68e189b6a3ebed7ccb97ebb54d9d55ace2cc1",
+    "daris-faults/mps6x1-os6/lossy/2": "58d87e2fbf8c1925de2a8cd1462ca583599e7057ebce2d5d40c609a877b67aa7",
+    "daris-faults/str10/lossy/2": "de2e35cb6e1706816ee12aa350bedeb4ddd9b2adc7eecd650f90604f2c4197a4",
+    "saturated/gslice/lossy/2": "b870eb3faee7c20eb0d5bc96486f8dbf431b6159219301eb11df150f326b0458",
+    "saturated/single/lossy/2": "471f6d4b80a8ee495a11ed36a4608302351e11c6d0de1cb162a953204872d551",
+    "saturated/batching_server/lossy/2": "734caa8f52ae002c57a820239fb68e189b6a3ebed7ccb97ebb54d9d55ace2cc1",
+    "daris-faults/mps6x1-os6/storm/1": "b391349ddbbd05fe38aeb7be19aa9108cc57ceb8a7660e84351a362d9c103a49",
+    "daris-faults/str10/storm/1": "787518d63e3cb6e5cd10cd50c7dc1ae40ddac0e5639b70fd33c01e9bb8598a54",
+    "saturated/gslice/storm/1": "03aba3111571c6f2b63c9610f4a8ccbd5bdd7a5fffa97d409540ceb9fb2f7f2a",
+    "saturated/single/storm/1": "b656492c255aa272128ccdc1fc2fa1dc0c6ed876bf8cff9104db1857087f9945",
+    "saturated/batching_server/storm/1": "0a8c91775e62779b5152caf5215e5d22c81bc43eed530e831d9b5fc1ed7917e8",
+    "daris-faults/mps6x1-os6/storm/2": "122f2bf7eb37d7b8c241b06592a2237b4bce75a6843d87d57dc693678441c3f6",
+    "daris-faults/str10/storm/2": "81d8c4a282ca5355d2796984fb2f61eb96d50f9167a6d93c90a45aa32bb09dc3",
+    "saturated/gslice/storm/2": "52e24fa1bc7c7a48585bad89d65599e627aab717aceb37fff07edba04bc577db",
+    "saturated/single/storm/2": "75bd8fa3ea775027ef2b0cf8d930bf005cbb6e46dbe5a24e644cf13b92db5633",
+    "saturated/batching_server/storm/2": "6ee40a84444ffdc1bd6abc7177ddb02ebe1989b99514a18b902f731a789c8259",
+    "diurnal-times/0.6/1": "33f2e0872582c3b077c354f3c428c0a836bb5f0e98610ef17670cefc4b53995b",
+    "diurnal-times/0.6/2": "ffb0181fd32ac8dfce541b55799ea0b2d0fc9183faa6724cc7e44855332033af",
+    "diurnal-times/0.9/1": "e0f43e74bb4b84d249bae0a4c21e4a74a54a7d4a9b24e7547120b4b1537eba13",
+    "diurnal-times/0.9/2": "ccb7de886974e58903dd3626f0d60269405658c94d6f4e9cc07cf40615c9810e",
 }
 
 
@@ -360,12 +524,27 @@ def _golden_cases():
         for workload in RELEASE_WORKLOADS:
             for seed in RELEASE_SEEDS:
                 cases.append(f"release/{consumer}/{workload}/{seed}")
+    for fault in NAMED_FAULTS:
+        for seed in FAULT_SEEDS:
+            for config in DARIS_FAULT_CONFIGS:
+                cases.append(f"daris-faults/{config}/{fault}/{seed}")
+            for backend in SATURATED_BACKENDS:
+                cases.append(f"saturated/{backend}/{fault}/{seed}")
+    for amplitude in DIURNAL_AMPLITUDES:
+        for seed in FAULT_SEEDS:
+            cases.append(f"diurnal-times/{amplitude}/{seed}")
     return cases
 
 
 def run_case(case: str):
     """Metrics of one golden case, addressed by its id."""
     kind, *rest = case.split("/")
+    if kind == "daris-faults":
+        config, fault, seed = rest
+        return daris_fault_metrics(config, fault, int(seed))
+    if kind == "saturated":
+        backend, fault, seed = rest
+        return saturated_metrics(backend, fault, int(seed))
     if kind == "clockwork":
         workload, fault, seed = rest
         return clockwork_metrics(workload, fault, int(seed))
@@ -383,6 +562,15 @@ def test_golden_table_covers_every_case():
     assert sorted(GOLDEN_DIGESTS) == sorted(_golden_cases())
 
 
+def case_digest(case: str) -> str:
+    """The digest of one golden case, addressed by its id."""
+    kind, *rest = case.split("/")
+    if kind == "diurnal-times":
+        amplitude, seed = rest
+        return diurnal_times_digest(float(amplitude), int(seed))
+    return metrics_digest(run_case(case))
+
+
 @pytest.mark.parametrize("case", _golden_cases())
 def test_metrics_match_golden_digest(case):
-    assert metrics_digest(run_case(case)) == GOLDEN_DIGESTS[case]
+    assert case_digest(case) == GOLDEN_DIGESTS[case]

@@ -1,16 +1,9 @@
 """Tests for the SM water-filling allocation."""
 
-import struct
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.gpu.allocation import allocate_sms, water_fill, water_fill_array
-
-
-def _bits(values):
-    """IEEE-754 bit patterns — ``==`` would conflate 0.0 and -0.0."""
-    return [struct.pack("<d", value) for value in values]
+from repro.gpu.allocation import allocate_sms, water_fill
 
 
 def test_water_fill_satisfies_small_demands_fully():
@@ -56,58 +49,6 @@ def test_property_water_fill_conservation_and_caps(capacity, demands):
         assert (
             sum(allocations) >= min(capacity, sum(demands)) - 1e-6
         )
-
-
-def test_water_fill_array_matches_reference_on_basic_cases():
-    cases = [
-        (10.0, [2.0, 3.0]),
-        (10.0, [8.0, 8.0]),
-        (12.0, [2.0, 20.0, 20.0]),
-        (5.0, []),
-        (0.0, [1.0, 2.0]),
-        (7.0, [0.0, 0.0, 0.0]),
-        (68.0, [0.1] * 40 + [30.0, 30.0]),
-    ]
-    for capacity, demands in cases:
-        assert _bits(water_fill_array(capacity, demands)) == _bits(water_fill(capacity, demands))
-
-
-def test_water_fill_array_negative_capacity_rejected():
-    with pytest.raises(ValueError):
-        water_fill_array(-1.0, [1.0])
-
-
-def test_water_fill_array_returns_plain_floats():
-    allocations = water_fill_array(10.0, [8.0, 8.0])
-    assert all(type(value) is float for value in allocations)
-
-
-@given(
-    capacity=st.floats(min_value=0.0, max_value=200.0),
-    demands=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=0, max_size=64),
-)
-def test_property_water_fill_array_bit_identical_to_reference(capacity, demands):
-    assert _bits(water_fill_array(capacity, demands)) == _bits(water_fill(capacity, demands))
-
-
-@given(
-    capacity=st.floats(min_value=1e-12, max_value=1e6),
-    demands=st.lists(
-        st.one_of(
-            st.just(0.0),
-            st.floats(min_value=1e-9, max_value=1e-3),
-            st.floats(min_value=0.5, max_value=128.0),
-            st.floats(min_value=1e3, max_value=1e6),
-        ),
-        min_size=1,
-        max_size=48,
-    ),
-)
-def test_property_water_fill_array_bit_identical_mixed_magnitudes(capacity, demands):
-    # Mixed tiny/huge demands drive many redistribution rounds, the regime
-    # where an order-of-operations divergence between the two implementations
-    # would actually surface.
-    assert _bits(water_fill_array(capacity, demands)) == _bits(water_fill(capacity, demands))
 
 
 def test_allocate_sms_single_kernel_gets_its_parallelism():

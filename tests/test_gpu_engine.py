@@ -1,12 +1,18 @@
 """Tests for the event-driven GPU engine."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.gpu.calibration import GpuCalibration
 from repro.gpu.engine import GpuEngine
 from repro.gpu.kernel import KernelSpec, KernelState
-from repro.gpu.spec import GpuSpec
+from repro.gpu.spec import RTX_2080_TI, GpuSpec
+from repro.rt.taskset import table2_taskset
+from repro.scheduler.config import DarisConfig
+from repro.scheduler.daris import DarisScheduler
+from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
 
 NO_OVERHEAD_GPU = GpuSpec(name="ideal", num_sms=68, launch_overhead_ms=0.0)
@@ -197,3 +203,70 @@ def test_busy_time_tracks_active_periods():
     engine.launch(stream, KernelSpec("k", work=68.0, parallelism=68.0))
     simulator.run_until(5.0)
     assert engine.busy_time() == pytest.approx(1.0, abs=1e-6)
+
+
+
+def test_average_utilization_windowed_measurement():
+    """The windowed average uses the integral captured at the window start."""
+    simulator = Simulator()
+    engine = GpuEngine(simulator, RTX_2080_TI)
+    context = engine.create_context(sm_quota=float(RTX_2080_TI.num_sms))
+    stream = engine.create_stream(context)
+
+    # Idle until t=100, then one full-width kernel for ~100 ms.
+    simulator.run_until(100.0)
+    mark = engine.utilization_integral()
+    assert mark == pytest.approx(0.0)
+    work = 100.0 * RTX_2080_TI.num_sms
+    engine.launch(stream, KernelSpec("k", work=work, parallelism=float(RTX_2080_TI.num_sms)))
+    simulator.run_until(250.0)
+
+    windowed = engine.average_utilization(since=100.0, integral_at_since=mark)
+    overall = engine.average_utilization()
+    # The kernel ran at full width for ~100 of the 150 ms window...
+    assert windowed == pytest.approx(100.0 / 150.0, rel=0.05)
+    # ...but only ~100 of the 250 ms total horizon: the old truncated-horizon
+    # formula would have reported the windowed value as ~1.67x too high.
+    assert overall == pytest.approx(100.0 / 250.0, rel=0.05)
+    assert windowed < 1.0
+
+
+def test_chunked_noise_draws_equal_scalar_normal_draws():
+    """Noise is drawn 256 standard normals at a time; every factor equals
+    the one a scalar ``normal(0, sigma)`` draw on a twin generator gives."""
+    _, engine = _engine(noise_rng=np.random.default_rng(5))
+    twin = np.random.default_rng(5)
+    for index in range(600):  # more than two chunks
+        sigma = 0.01 * (1 + index % 7)
+        expected = math.exp(twin.normal(0.0, sigma) - 0.5 * sigma * sigma)
+        assert engine._sample_noise(sigma) == expected
+
+
+def test_fast_path_actually_engages():
+    """The specialized replan paths fire during a normal scheduling run."""
+    # MPS 6x1: every context runs at most one kernel, so replans collapse to
+    # the single-pass fast paths and the generic plan never runs.
+    simulator = Simulator()
+    scheduler = DarisScheduler(
+        simulator,
+        table2_taskset("resnet18"),
+        DarisConfig.mps_config(6, 1.0),
+        rng=RngFactory(1),
+    )
+    scheduler.run(800.0)
+    engine = scheduler.platform.engine
+    assert engine.fast_path_hits > 0
+    assert engine.full_replans == 0
+
+    # MPS+STR 2x2: contexts run several kernels concurrently, exercising the
+    # generic incremental plan (cached water-fills + per-context recompute).
+    simulator = Simulator()
+    scheduler = DarisScheduler(
+        simulator,
+        table2_taskset("resnet18"),
+        DarisConfig.mps_str_config(2, 2, 2.0),
+        rng=RngFactory(1),
+    )
+    scheduler.run(800.0)
+    engine = scheduler.platform.engine
+    assert engine.full_replans > 0

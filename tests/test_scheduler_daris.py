@@ -155,3 +155,34 @@ def test_run_rejects_nonpositive_horizon(resnet18):
     scheduler = DarisScheduler(Simulator(), taskset, DarisConfig.mps_config(2, 2.0), rng=RngFactory(0))
     with pytest.raises(ValueError):
         scheduler.run(0.0)
+
+
+
+def test_incremental_backlog_matches_a_queue_scan():
+    """The O(tasks x stages) backlog equals an O(queue) scan of the ready
+    queue and the active jobs, up to the regrouped sum's rounding."""
+    simulator = Simulator()
+    scheduler = DarisScheduler(
+        simulator,
+        table2_taskset("resnet18"),
+        DarisConfig.mps_config(6, 6.0),
+        rng=RngFactory(3),
+    )
+    scheduler.start(700.0)
+    checked = nonzero = 0
+    while True:
+        next_time = simulator.peek_next_time()
+        if next_time is None or next_time > 700.0:
+            break
+        simulator.run(max_events=50)
+        for context in range(scheduler.config.num_contexts):
+            scan = 0.0
+            for _, stage in scheduler._queues[context]:
+                scan += stage.job.task.timing.stage_value(stage.stage_index)
+            for job in scheduler._active_jobs[context].values():
+                scan += job.remaining_mret()
+            incremental = scheduler._backlogs[context].total_ms()
+            assert incremental == pytest.approx(scan, rel=1e-9, abs=1e-9)
+            checked += 1
+            nonzero += scan > 0.0
+    assert checked > 0 and nonzero > 0

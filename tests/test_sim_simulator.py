@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.experiments.runner import run_daris_scenario
+from repro.rt.taskset import table2_taskset
+from repro.scheduler.config import DarisConfig
 from repro.sim.events import Event
 from repro.sim.simulator import SimulationError, Simulator
 
@@ -153,3 +156,58 @@ def test_property_all_events_fire_in_nondecreasing_time(times):
     sim.run_until(max(times))
     assert seen == sorted(seen)
     assert len(seen) == len(times)
+
+
+# ---------------------------------------------------------- heap compaction
+
+
+def test_simulator_compacts_cancelled_events():
+    """Cancelled events are physically removed once they dominate the heap."""
+    simulator = Simulator()
+    handles = [simulator.schedule_at(float(i + 1), lambda _sim: None) for i in range(300)]
+    assert simulator.pending_events == 300
+    assert simulator.live_events == 300
+
+    for handle in handles[:299]:
+        handle.cancel()
+
+    assert simulator.live_events == 1
+    assert simulator.compactions >= 1
+    # Compaction physically dropped the cancelled entries.
+    assert simulator.pending_events < 300
+
+
+def test_compaction_preserves_firing_order_and_counts():
+    """A compacting run fires the same events, in the same order, as a naive one."""
+    fired = []
+    simulator = Simulator()
+    keep = []
+    for i in range(200):
+        handle = simulator.schedule_at(float(i), lambda _sim, i=i: fired.append(i))
+        if i % 3 == 0:
+            keep.append(i)
+        else:
+            handle.cancel()
+    simulator.run_until(500.0)
+    assert fired == keep
+    assert simulator.live_events == 0
+
+
+def test_engine_replanning_does_not_bloat_heap():
+    """Replan churn (a superseded completion per replan) stays bounded."""
+    result = run_daris_scenario(
+        table2_taskset("resnet18"), DarisConfig.mps_config(6, 6.0), 600.0, seed=2
+    )
+    assert result.metrics.total_jps > 0
+
+
+def test_live_events_counter_tracks_cancellations():
+    simulator = Simulator()
+    a = simulator.schedule_at(1.0, lambda _sim: None)
+    simulator.schedule_at(2.0, lambda _sim: None)
+    assert simulator.live_events == 2
+    a.cancel()
+    a.cancel()  # idempotent
+    assert simulator.live_events == 1
+    simulator.run_until(3.0)
+    assert simulator.live_events == 0

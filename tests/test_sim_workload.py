@@ -496,3 +496,81 @@ def test_an_abandoned_stream_is_freed_without_the_cycle_collector():
         assert alive() is None
     finally:
         gc.enable()
+
+
+# ------------------------------------------- chunked vs scalar RNG draws
+#
+# Chunked draws only run on streams a process may draw ahead of its consumer
+# (``chunk_safe``); every other stream takes the scalar path.  The twins
+# below reach both paths through that input on twin generators.
+
+
+def _times(process, horizon):
+    return [event.time for event in process.events(horizon)]
+
+
+def test_jittered_periodic_chunk_equals_scalar_draws():
+    chunked = PeriodicArrival(10.0, jitter=3.0, rng=np.random.default_rng(11))
+    times = _times(chunked, 5000.0)
+    assert chunked._chunk  # ``events`` pre-drew the jitter chunk
+    scalar = PeriodicArrival(10.0, jitter=3.0, rng=np.random.default_rng(11))
+    assert [scalar.next_arrival().time for _ in times] == times
+    assert not scalar._chunk
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: PoissonArrival(250.0, rng),
+        lambda rng: MmppArrival((100.0, 900.0), (40.0, 10.0), rng),
+    ],
+    ids=["poisson", "mmpp"],
+)
+def test_chunk_safe_twins_release_identical_times(make):
+    chunked = make(np.random.default_rng(11))
+    chunked.chunk_safe = True
+    times = _times(chunked, 5000.0)
+    assert chunked._chunk and len(times) > 500
+    scalar = make(np.random.default_rng(11))
+    scalar.chunk_safe = False
+    assert _times(scalar, 5000.0) == times
+    assert not scalar._chunk
+
+
+def _flips_at(profile, target, time):
+    """``time`` is one side of an adjacent float pair across which the
+    predicate ``cumulative(t) >= target`` flips."""
+    here = profile.cumulative(time) >= target
+    below = profile.cumulative(math.nextafter(time, -math.inf)) >= target
+    above = profile.cumulative(math.nextafter(time, math.inf)) >= target
+    return (here and not below) or (above and not here)
+
+
+def _flip_count(profile, target, low, high):
+    flips = 0
+    previous = profile.cumulative(low) >= target
+    time = low
+    while time < high:
+        time = math.nextafter(time, math.inf)
+        current = profile.cumulative(time) >= target
+        flips += current != previous
+        previous = current
+    return flips
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 0.6, 0.9])
+def test_newton_inversion_agrees_with_the_bisection(amplitude):
+    """The Newton inverter lands on a crossing of ``cumulative >= target``.
+    It equals the 64-step bisection bit for bit except where the rounded
+    ``cumulative`` is not monotone, so the predicate flips more than once
+    between the two answers; those stay within a few ulp."""
+    profile = DiurnalModulator(period_ms=1000.0, amplitude=amplitude)
+    targets = np.cumsum(np.random.default_rng(3).exponential(1.0, size=3000)).tolist()
+    for target in targets:
+        newton = profile.inverse_cumulative(target)
+        bisect = profile._sin_bisect(target)
+        assert _flips_at(profile, target, newton)
+        if newton != bisect:
+            low, high = min(newton, bisect), max(newton, bisect)
+            assert high - low <= 8 * math.ulp(high)
+            assert _flip_count(profile, target, math.nextafter(low, -math.inf), high) > 1
